@@ -15,6 +15,7 @@ from .graph import (
     TelParseError,
     TemporalGraph,
     TwinPlant,
+    TwinWindow,
     generate_random,
     id_width,
     parse_tel,
@@ -23,7 +24,6 @@ from .graph import (
 from .oracle import (
     NoCommonNeighbourError,
     PairProfile,
-    TwinWindow,
     all_windows,
     is_d_twin,
     pair_profile,
@@ -62,13 +62,13 @@ __all__ = [
     "TelParseError",
     "TemporalGraph",
     "TwinPlant",
+    "TwinWindow",
     "generate_random",
     "id_width",
     "parse_tel",
     "serialize_tel",
     "NoCommonNeighbourError",
     "PairProfile",
-    "TwinWindow",
     "all_windows",
     "is_d_twin",
     "pair_profile",

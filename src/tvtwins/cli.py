@@ -15,12 +15,11 @@ from .graph import (
     TemporalGraph,
     TwinPlant,
     generate_random,
-    id_width,
     parse_tel,
     serialize_tel,
 )
 from .sketch import SketchParams, calibrated_capacity
-from .simulator import RunConfig, compare_with_oracle, run
+from .simulator import RunConfig, compare_with_oracle, graph_digest, run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,28 +75,25 @@ def _load_graph(path: str) -> TemporalGraph:
     return parse_tel(Path(path).read_text(encoding="utf-8"))
 
 
-def _sketch_config(args, params: ProblemParams) -> RunConfig:
+def _sketch_params(args) -> SketchParams | None:
     if args.mode == "exact":
         if args.epsilon is not None or args.nu is not None or args.k is not None:
             print("warning: sketch flags ignored in exact mode", file=sys.stderr)
-        return RunConfig(params=params, mode="exact", seed=args.seed)
+        return None
     epsilon = args.epsilon if args.epsilon is not None else 0.2
     nu = args.nu if args.nu is not None else 0.1
     k = args.k if args.k is not None else calibrated_capacity(epsilon, nu)
-    sp = SketchParams(k=k, epsilon=epsilon, nu=nu, hash_seed=args.seed)
-    return RunConfig(params=params, mode="sketch", sketch_params=sp, seed=args.seed)
+    return SketchParams(k=k, epsilon=epsilon, nu=nu, hash_seed=args.seed)
 
 
 def cmd_run(args) -> int:
     graph = _load_graph(args.input)
     params = ProblemParams(delta=args.delta, d=args.d)
     params.validate_for_period(graph.p)
-    config = _sketch_config(args, params)
-    result = run(graph, config)
+    sp = _sketch_params(args)
+    result = run(graph, RunConfig(params, args.mode, sp, seed=args.seed))
     stats = result.stats.as_dict() if args.stats else None
-    doc = build_result_document(
-        graph, params, config.mode, args.seed, result.windows, stats, config.sketch_params
-    )
+    doc = build_result_document(graph, params, args.mode, args.seed, result.windows, stats, sp)
     _emit(document_json(doc), args.out)
     return EXIT_OK
 
@@ -106,21 +102,11 @@ def cmd_oracle(args) -> int:
     graph = _load_graph(args.input)
     params = ProblemParams(delta=args.delta, d=args.d)
     params.validate_for_period(graph.p)
-    config = _sketch_config(args, params)
+    sp = _sketch_params(args)
     windows = oracle.all_windows(graph, params)
-    stats = None
-    if args.stats:
-        # Structural digest only; the reference passes no messages.
-        width = id_width(graph.n)
-        stats = {
-            "n": graph.n,
-            "max_degree": graph.max_degree(),
-            "id_width": width,
-            "phase2_bound_bits": graph.max_degree() * 2 * width,
-        }
-    doc = build_result_document(
-        graph, params, config.mode, args.seed, windows, stats, config.sketch_params
-    )
+    # Structural digest only; the reference passes no messages.
+    stats = graph_digest(graph) if args.stats else None
+    doc = build_result_document(graph, params, args.mode, args.seed, windows, stats, sp)
     _emit(document_json(doc), args.out)
     return EXIT_OK
 
@@ -150,8 +136,9 @@ def cmd_compare(args) -> int:
     lines = []
     for trial, graph in enumerate(graphs):
         params.validate_for_period(graph.p)
-        config = _sketch_config(args, params)
-        report = compare_with_oracle(graph, config)
+        report = compare_with_oracle(
+            graph, RunConfig(params, args.mode, _sketch_params(args), seed=args.seed)
+        )
         total_diffs += sum(len(m) + len(e) for m, e in report.differences.values())
         decisions += report.decisions
         mismatched += report.mismatched_decisions

@@ -8,6 +8,7 @@ indistinguishable.
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TelParseError(ValueError):
@@ -159,6 +160,23 @@ class ProblemParams:
     def validate_for_period(self, p: int) -> None:
         if self.delta > p:
             raise ValueError(f"delta {self.delta} exceeds period {p}")
+
+
+class TwinWindow(NamedTuple):
+    """A detected window: d-twin with ``peer`` for delta consecutive instants from ``start``."""
+
+    peer: int
+    start: int
+
+
+def window_starts(flags: list[bool], delta: int) -> list[int]:
+    """Every start t0 in [0, p) whose ``delta`` flags from t0, taken mod p, all hold.
+
+    ``flags[t]`` is a pair's twin verdict at round t of a period p = len(flags);
+    a window may straddle the period boundary.
+    """
+    p = len(flags)
+    return [t0 for t0 in range(p) if all(flags[(t0 + j) % p] for j in range(delta))]
 
 
 def parse_tel(text: str) -> TemporalGraph:

@@ -7,7 +7,7 @@ protocol has an independent reference to be checked against.
 
 from typing import NamedTuple
 
-from .graph import ProblemParams, TemporalGraph
+from .graph import ProblemParams, TemporalGraph, TwinWindow, window_starts
 
 
 class NoCommonNeighbourError(ValueError):
@@ -27,13 +27,6 @@ class PairProfile(NamedTuple):
     union_size: int
     common_count: int
     difference: int
-
-
-class TwinWindow(NamedTuple):
-    """A detected window: d-twin with ``peer`` for delta consecutive instants from ``start``."""
-
-    peer: int
-    start: int
 
 
 def _outside_sets(graph: TemporalGraph, u: int, v: int, t: int):
@@ -91,8 +84,7 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
             flags = [is_d_twin(graph, u, v, t, d) for t in range(p)]
             if not any(flags):
                 continue
-            for t0 in range(p):
-                if all(flags[(t0 + j) % p] for j in range(delta)):
-                    result[u].add(TwinWindow(v, t0))
-                    result[v].add(TwinWindow(u, t0))
+            for t0 in window_starts(flags, delta):
+                result[u].add(TwinWindow(v, t0))
+                result[v].add(TwinWindow(u, t0))
     return result

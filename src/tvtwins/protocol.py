@@ -11,7 +11,7 @@ circular scan at the end.
 
 from dataclasses import dataclass
 
-from .oracle import TwinWindow
+from .graph import TwinWindow, window_starts
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test
 
 
@@ -75,12 +75,10 @@ class NodeState:
         self.common_count: dict[int, int] = {}
         self.reported_degree: dict[int, int] = {}
         self.entry_sketches: dict[int, NeighbourhoodSketch] = {}
-        self.messages_this_round = 0
         # id -> length of the current run of consecutive twin rounds.
         self.run_length: dict[int, int] = {}
         # time index -> ids detected as d-twins at that time.
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
-        self.windows: set[TwinWindow] = set()
         # (window, round at which it was emitted), for real-time availability.
         self.realtime_log: list[tuple[TwinWindow, int]] = []
         # (t, id) -> evaluated difference, populated only when tracing.
@@ -100,7 +98,6 @@ class NodeState:
         if isinstance(msg, Phase1Message):
             self.neighbour_reports[round_no].append((msg.sender, msg.degree))
             return
-        self.messages_this_round += 1
         if isinstance(msg, SketchPhase2Message):
             for entry_id, degree, sk in msg.entries:
                 if entry_id == self.node_id:
@@ -157,7 +154,6 @@ class NodeState:
                 self.run_length[twin_id] = run
                 if run >= self.delta:
                     window = TwinWindow(twin_id, (t - self.delta + 1) % self.p)
-                    self.windows.add(window)
                     self.realtime_log.append((window, round_no))
             else:
                 self.run_length.pop(twin_id, None)
@@ -165,25 +161,21 @@ class NodeState:
         self.common_count = {}
         self.reported_degree = {}
         self.entry_sketches = {}
-        self.messages_this_round = 0
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:
         """Canonical window set after all 2p rounds, by circular scan.
 
-        A superset of the real-time detections: the scan re-derives every
-        non-wrapping window and adds the ones straddling the period boundary.
+        A superset of the real-time detections, which all lie inside the
+        period: the scan adds the windows straddling the period boundary.
         """
         if self._evaluated_rounds < self.p:
             raise ProtocolError(
                 f"finalize needs all {self.p} evaluation rounds, saw {self._evaluated_rounds}"
             )
-        candidates = set().union(*self.twins_at)
-        complete: set[TwinWindow] = set()
-        for twin_id in candidates:
-            flags = [twin_id in detected for detected in self.twins_at]
-            for t0 in range(self.p):
-                if all(flags[(t0 + i) % self.p] for i in range(self.delta)):
-                    complete.add(TwinWindow(twin_id, t0))
-        self.windows |= complete
-        return set(self.windows)
+        twins_at = self.twins_at
+        return {
+            TwinWindow(twin_id, t0)
+            for twin_id in set().union(*twins_at)
+            for t0 in window_starts([twin_id in detected for detected in twins_at], self.delta)
+        }

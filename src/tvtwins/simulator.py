@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import oracle
-from .graph import ProblemParams, TemporalGraph, id_width
-from .oracle import TwinWindow
+from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width
 from .protocol import (
     NodeState,
     SketchPhase2Message,
@@ -29,13 +28,25 @@ class RunConfig:
     mode: str = "exact"
     sketch_params: SketchParams | None = None
     seed: int = 0
-    collect_stats: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "sketch" and self.sketch_params is None:
             raise ValueError("sketch mode requires sketch_params")
+
+
+def graph_digest(graph: TemporalGraph) -> dict:
+    """Structural stats of an instance, the same for every route: size, maximum
+    degree, ID width and the phase-2 size bound max_degree * 2 * ceil(log2 n)."""
+    width = id_width(graph.n)
+    max_degree = graph.max_degree()
+    return {
+        "n": graph.n,
+        "max_degree": max_degree,
+        "id_width": width,
+        "phase2_bound_bits": max_degree * 2 * width,
+    }
 
 
 class RoundRecord(NamedTuple):
@@ -50,8 +61,8 @@ class RoundRecord(NamedTuple):
 
 @dataclass
 class RoundStats:
-    """Message accounting for one run, against the phase-2 size bound
-    max_degree * 2 * ceil(log2 n)."""
+    """Message accounting for one run, against the phase-2 size bound of
+    :func:`graph_digest`."""
 
     n: int
     max_degree: int
@@ -94,7 +105,6 @@ class Simulation:
         self.graph = graph
         self.config = config
         self._nodes = sorted(graph.nodes)
-        self._width = id_width(graph.n)
         p = graph.p
         # Sorted neighbour lists fix the delivery order, hence determinism.
         self._adj = [
@@ -116,12 +126,7 @@ class Simulation:
             for v in self._nodes
         }
         self.round = 0
-        self.stats = RoundStats(
-            n=graph.n,
-            max_degree=graph.max_degree(),
-            id_width=self._width,
-            phase2_bound_bits=graph.max_degree() * 2 * self._width,
-        )
+        self.stats = RoundStats(**graph_digest(graph))
 
     def step(self) -> None:
         p = self.graph.p
@@ -145,13 +150,12 @@ class Simulation:
             if not neighbours:
                 continue  # produced, delivered to nobody
             outbox.append((msg, neighbours))
-            if self.config.collect_stats:
-                bits = message_bits(msg, self._width)
-                msgs += 1
-                deliveries += len(neighbours)
-                total_bits += bits
-                if bits > max_bits:
-                    max_bits = bits
+            bits = message_bits(msg, self.stats.id_width)
+            msgs += 1
+            deliveries += len(neighbours)
+            total_bits += bits
+            if bits > max_bits:
+                max_bits = bits
 
         for msg, neighbours in outbox:
             for w in neighbours:
@@ -161,16 +165,15 @@ class Simulation:
             for v in self._nodes:
                 self.states[v].end_of_round(round_no, len(adj[v]))
 
-        if self.config.collect_stats:
-            self.stats.messages += msgs
-            self.stats.deliveries += deliveries
-            self.stats.total_bits += total_bits
-            self.stats.max_message_bits = max(self.stats.max_message_bits, max_bits)
-            if phase2:
-                self.stats.max_phase2_bits = max(self.stats.max_phase2_bits, max_bits)
-            self.stats.per_round.append(
-                RoundRecord(round_no, t, 2 if phase2 else 1, msgs, deliveries, max_bits, total_bits)
-            )
+        self.stats.messages += msgs
+        self.stats.deliveries += deliveries
+        self.stats.total_bits += total_bits
+        self.stats.max_message_bits = max(self.stats.max_message_bits, max_bits)
+        if phase2:
+            self.stats.max_phase2_bits = max(self.stats.max_phase2_bits, max_bits)
+        self.stats.per_round.append(
+            RoundRecord(round_no, t, 2 if phase2 else 1, msgs, deliveries, max_bits, total_bits)
+        )
         self.round += 1
 
     def run(self) -> RunResult:
@@ -213,7 +216,8 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     common-neighbour count within epsilon*max_degree + 0.5 of the >= 1 test).
     """
     start = time.perf_counter()
-    result = run(graph, config)
+    sim = Simulation(graph, config)
+    result = sim.run()
     expected = oracle.all_windows(graph, config.params)
     differences = {}
     for v in sorted(graph.nodes):
@@ -229,17 +233,16 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
         elapsed=time.perf_counter() - start,
     )
     if config.mode == "sketch":
-        _audit_sketch_decisions(graph, config, report)
+        _audit_sketch_decisions(sim, report)
     return report
 
 
-def _audit_sketch_decisions(graph: TemporalGraph, config: RunConfig, report: CompareReport) -> None:
-    sp = config.sketch_params
-    d = config.params.d
-    nodes = sorted(graph.nodes)
-    sketches = [
-        {v: build_sketch(graph.neighbours(v, t), sp) for v in nodes} for t in range(graph.p)
-    ]
+def _audit_sketch_decisions(sim: Simulation, report: CompareReport) -> None:
+    """Replay every per-round decision with the sketches the run granted."""
+    graph, sketches = sim.graph, sim._sketches
+    sp = sim.config.sketch_params
+    d = sim.config.params.d
+    nodes = sim._nodes
     for t in range(graph.p):
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:

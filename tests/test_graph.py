@@ -14,6 +14,7 @@ from tvtwins import (
     parse_tel,
     serialize_tel,
 )
+from tvtwins.graph import window_starts
 
 from .conftest import WRAP_TEL, temporal_graphs
 
@@ -23,6 +24,25 @@ def test_parse_p3(p3):
     assert p3.n == 3
     assert p3.nodes == frozenset({0, 1, 2, 3})
     assert p3.neighbours(2, 0) == frozenset({1, 3})
+
+
+T, F = True, False
+
+
+@pytest.mark.parametrize(
+    "flags, delta, starts",
+    [
+        ([T, T, F, T], 3, [3]),  # flags 3, 0, 1: the run straddles the boundary
+        ([T, T, F, T], 2, [0, 3]),
+        ([F, T, T, F, T], 1, [1, 2, 4]),
+        ([T] * 5, 5, [0, 1, 2, 3, 4]),
+        ([T, T, F, T, T], 5, []),
+        ([F] * 4, 1, []),
+        ([F] * 4, 4, []),
+    ],
+)
+def test_window_starts(flags, delta, starts):
+    assert window_starts(flags, delta) == starts
 
 
 def test_parse_wrap_fixture(wrap_graph):

@@ -54,7 +54,6 @@ def test_receive_phase2_skips_self_entry():
     state.receive(Phase2Message(((5, 2), (1, 3))), 1)
     assert state.common_count == {5: 1}
     assert state.reported_degree == {5: 2}
-    assert state.messages_this_round == 1
 
 
 def test_receive_phase2_counts_forwarders():
@@ -71,9 +70,9 @@ def test_end_of_round_emits_window_on_p3():
     state.receive(Phase2Message(((3, 1), (1, 1))), 1)
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
-    assert state.windows == {TwinWindow(3, 0)}
+    assert state.finalize() == {TwinWindow(3, 0)}
     assert state.realtime_log == [(TwinWindow(3, 0), 1)]
-    assert state.common_count == {} and state.messages_this_round == 0
+    assert state.common_count == {}
 
 
 def test_end_of_round_outside_phase2():

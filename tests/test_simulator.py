@@ -1,5 +1,6 @@
 import pytest
 
+from tvtwins import simulator
 from tvtwins import (
     ProblemParams,
     RunConfig,
@@ -88,6 +89,18 @@ def test_sketch_lossless_regime_matches_exact():
     assert report.equal
     assert report.decisions > 0
     assert report.mismatched_decisions == 0
+
+
+def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
+    # The audit reuses the run's sketches: one engine build per node and round.
+    calls = []
+    build = simulator.build_sketch
+    monkeypatch.setattr(simulator, "build_sketch", lambda *a: calls.append(a) or build(*a))
+    g = generate_random(12, 3, 0.5, seed=9)
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
+    report = compare_with_oracle(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
+    assert report.decisions > 0
+    assert len(calls) == g.n * g.p
 
 
 def test_sketch_full_regime_mismatches_stay_near_thresholds():
