@@ -131,14 +131,15 @@ def cmd_compare(args) -> int:
             raise ValueError("compare needs --input or --gen")
         graphs = [_load_graph(args.input)]
 
+    for graph in graphs:
+        params.validate_for_period(graph.p)
+    config = RunConfig(params, args.mode, _sketch_params(args), seed=args.seed)
+
     total_diffs = 0
     decisions = mismatched = boundary = 0
     lines = []
     for trial, graph in enumerate(graphs):
-        params.validate_for_period(graph.p)
-        report = compare_with_oracle(
-            graph, RunConfig(params, args.mode, _sketch_params(args), seed=args.seed)
-        )
+        report = compare_with_oracle(graph, config)
         total_diffs += sum(len(m) + len(e) for m, e in report.differences.values())
         decisions += report.decisions
         mismatched += report.mismatched_decisions

@@ -192,7 +192,6 @@ def parse_tel(text: str) -> TemporalGraph:
     width = 0
     edges_at: dict[int, set[tuple[int, int]]] = {}
     endpoints: set[int] = set()
-    seen: set[tuple[int, int, int]] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -235,9 +234,8 @@ def parse_tel(text: str) -> TemporalGraph:
                     line_no, f"node id {w} is not representable in {width} bits (n={n})"
                 )
         u, v = _normalize_edge(u, v)
-        if (t, u, v) in seen:
+        if (u, v) in edges_at.get(t, ()):
             raise TelParseError(line_no, f"duplicate edge ({u}, {v}) at round {t}")
-        seen.add((t, u, v))
         edges_at.setdefault(t, set()).add((u, v))
         endpoints.update((u, v))
 

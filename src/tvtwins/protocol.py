@@ -3,10 +3,10 @@
 Rounds 0..p-1 (phase 1): broadcast own (id, degree) and record the reports
 received from current neighbours.  Rounds p..2p-1 (phase 2): forward the
 report list collected one period earlier; from the forwarded entries, each
-node counts common neighbours per candidate and grows per-candidate runs of
-consecutive twin rounds.  A run reaching the window length emits a window in
-real time; windows that straddle the period boundary are recovered by a
-circular scan at the end.
+node counts common neighbours per candidate and records the candidates it
+finds to be twins in that round.  A twin verdict that completes a window of
+such rounds emits the window in real time; windows that straddle the period
+boundary are recovered by a circular scan at the end.
 """
 
 from dataclasses import dataclass
@@ -75,9 +75,8 @@ class NodeState:
         self.common_count: dict[int, int] = {}
         self.reported_degree: dict[int, int] = {}
         self.entry_sketches: dict[int, NeighbourhoodSketch] = {}
-        # id -> length of the current run of consecutive twin rounds.
-        self.run_length: dict[int, int] = {}
-        # time index -> ids detected as d-twins at that time.
+        # time index -> ids detected as d-twins at that time: the node's only
+        # record of its verdicts, from which every window is read.
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
         # (window, round at which it was emitted), for real-time availability.
         self.realtime_log: list[tuple[TwinWindow, int]] = []
@@ -99,11 +98,10 @@ class NodeState:
             self.neighbour_reports[round_no].append((msg.sender, msg.degree))
             return
         if isinstance(msg, SketchPhase2Message):
-            for entry_id, degree, sk in msg.entries:
+            for entry_id, _, sk in msg.entries:
                 if entry_id == self.node_id:
                     continue  # every neighbour echoes us back; never count ourselves
                 self.common_count[entry_id] = self.common_count.get(entry_id, 0) + 1
-                self.reported_degree[entry_id] = degree
                 self.entry_sketches[entry_id] = sk
         elif isinstance(msg, Phase2Message):
             counts = self.common_count
@@ -117,19 +115,20 @@ class NodeState:
             raise TypeError(f"not a protocol message: {msg!r}")
 
     def end_of_round(self, round_no: int, degree: int) -> None:
-        """Evaluate all candidates named this round and update twin runs.
+        """Evaluate all candidates named this round and record the twins in
+        ``twins_at``.
 
-        Runs at the round barrier regardless of how many messages arrived, so
-        isolated nodes correctly reset all their runs.
+        Runs at the round barrier regardless of how many messages arrived; a
+        candidate named by nobody has no common neighbour and is no twin.
         """
         if not self.p <= round_no < 2 * self.p:
             raise ProtocolError(f"evaluation only happens in rounds {self.p}..{2 * self.p - 1}")
         t = round_no - self.p
         counts = self.common_count
-
-        # A candidate named by nobody this round has no common neighbour: run over.
-        for stale in [twin_id for twin_id in self.run_length if twin_id not in counts]:
-            del self.run_length[stale]
+        # A window ending at t starts at t - delta + 1; windows that would start
+        # before round 0 wrap, and only the final scan recovers them.
+        start = t - self.delta + 1
+        earlier = self.twins_at[start:t] if start >= 0 else None
 
         reporters = {sender for sender, _ in self.neighbour_reports[t]}
         own_sketch = None
@@ -150,13 +149,8 @@ class NodeState:
                 ok = difference <= self.d
             if ok:
                 detected.add(twin_id)
-                run = self.run_length.get(twin_id, 0) + 1
-                self.run_length[twin_id] = run
-                if run >= self.delta:
-                    window = TwinWindow(twin_id, (t - self.delta + 1) % self.p)
-                    self.realtime_log.append((window, round_no))
-            else:
-                self.run_length.pop(twin_id, None)
+                if earlier is not None and all(twin_id in twins for twins in earlier):
+                    self.realtime_log.append((TwinWindow(twin_id, start), round_no))
 
         self.common_count = {}
         self.reported_degree = {}

@@ -6,8 +6,7 @@ messages are delivered along the current edge set, then every node runs its
 end-of-round evaluation.  Two runs with identical inputs are identical.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import oracle
@@ -76,18 +75,7 @@ class RoundStats:
     per_round: list[RoundRecord] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "id_width": self.id_width,
-            "phase2_bound_bits": self.phase2_bound_bits,
-            "messages": self.messages,
-            "deliveries": self.deliveries,
-            "total_bits": self.total_bits,
-            "max_message_bits": self.max_message_bits,
-            "max_phase2_bits": self.max_phase2_bits,
-            "per_round": [r._asdict() for r in self.per_round],
-        }
+        return {**asdict(self), "per_round": [r._asdict() for r in self.per_round]}
 
 
 @dataclass
@@ -196,7 +184,6 @@ class CompareReport:
     equal: bool
     differences: dict[int, tuple[frozenset, frozenset]]  # node -> (missing, extra)
     rounds_executed: int
-    elapsed: float
     decisions: int = 0
     mismatched_decisions: int = 0
     boundary_decisions: int = 0
@@ -215,7 +202,6 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     thresholds (difference within 2*(epsilon*max_degree + 0.5) of d, or a
     common-neighbour count within epsilon*max_degree + 0.5 of the >= 1 test).
     """
-    start = time.perf_counter()
     sim = Simulation(graph, config)
     result = sim.run()
     expected = oracle.all_windows(graph, config.params)
@@ -230,7 +216,6 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
         equal=not differences,
         differences=differences,
         rounds_executed=result.rounds_executed,
-        elapsed=time.perf_counter() - start,
     )
     if config.mode == "sketch":
         _audit_sketch_decisions(sim, report)

@@ -122,19 +122,19 @@ def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
 
 
 def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
-    """Estimate |A ∪ B| from two compatible sketches.
+    """Estimate |A ∪ B| from two compatible sketches, via the set of their
+    merged hash values.
 
-    Exact (a plain count of merged hash values) whenever both sketches are
-    under-full; otherwise the k-minimum-values estimate (k-1)/r_k, where r_k
-    is the k-th smallest merged hash normalized to (0, 1].
+    Exact (the size of that set) whenever both sketches are under-full.
+    Otherwise one sketch is full, so the set holds at least k values, and the
+    estimate is the k-minimum-values one, (k-1)/r_k, where r_k is the k-th
+    smallest merged hash normalized to (0, 1].
     """
     _check_compatible(a, b)
+    merged = set(a.mins).union(b.mins)
     if not a.full and not b.full:
-        return float(len(set(a.mins) | set(b.mins)))
-    merged = np.union1d(np.array(a.mins, dtype=_U64), np.array(b.mins, dtype=_U64))
-    if len(merged) < a.k:
         return float(len(merged))
-    rank_k = (int(merged[a.k - 1]) + 1) / _HASH_SPACE
+    rank_k = (sorted(merged)[a.k - 1] + 1) / _HASH_SPACE
     return (a.k - 1) / rank_k
 
 

@@ -82,6 +82,16 @@ def test_sketch_flags_warn_in_exact_mode(capsys, p3_file):
     assert json.loads(out)["params"]["mode"] == "exact"
 
 
+def test_compare_warns_once_for_all_trials(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "compare", "--gen", "15,4,0.3", "--trials", "3",
+        "--k", "5", "--delta", "2", "--d", "1",
+    )
+    assert code == 0
+    assert err == "warning: sketch flags ignored in exact mode\n"
+
+
 def test_run_sketch_mode(capsys, p3_file):
     code, out, _ = run_cli(
         capsys,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,10 @@ def test_estimator_sanity(a_ids, b_ids, seed, k):
     assert estimate_union(a, b) == estimate_union(b, a)
     inter = estimate_intersection(a, b)
     assert 0.0 <= inter <= min(len(a_ids), len(b_ids))
+    if a.full or b.full:
+        # Reference: the KMV value from numpy's sorted union of the two sketches.
+        merged = np.union1d(np.array(a.mins, dtype=np.uint64), np.array(b.mins, dtype=np.uint64))
+        assert estimate_union(a, b) == (k - 1) / ((int(merged[k - 1]) + 1) / 2.0**64)
 
 
 def test_full_regime_decisions_mostly_agree():
