@@ -153,12 +153,11 @@ def cmd_compare(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK if total_diffs == 0 else EXIT_VERIFY
     rate = mismatched / decisions if decisions else 0.0
-    nu = args.nu if args.nu is not None else 0.1
     lines.append(f"{total_diffs} window differences / {trials} trials")
     lines.append(f"decision mismatch rate: {rate:.6f} ({mismatched} of {decisions})")
     lines.append(f"boundary decisions: {boundary} of {mismatched} mismatches")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if rate <= nu else EXIT_VERIFY
+    return EXIT_OK if rate <= config.sketch_params.nu else EXIT_VERIFY
 
 
 def _parse_plant_spec(spec: str) -> TwinPlant:

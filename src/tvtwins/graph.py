@@ -38,6 +38,9 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
+
+
 class TemporalGraph:
     """An undirected graph on a fixed node set whose edges repeat with period p.
 
@@ -65,30 +68,24 @@ class TemporalGraph:
                     f"node id {v} is not representable in {width} bits (n={n})"
                 )
 
-        edges_at = edges_at or {}
-        per_round = [set() for _ in range(p)]
-        for t, pairs in edges_at.items():
+        # Per round, neighbour sets of the nodes with an edge: size follows the edges.
+        tables = [{} for _ in range(p)]
+        for t, pairs in (edges_at or {}).items():
             if not 0 <= t < p:
                 raise ValueError(f"round index {t} outside [0, {p})")
+            table = tables[t]
             for u, v in pairs:
                 if u == v:
                     raise ValueError(f"self-loop at node {u}")
                 if u not in node_set or v not in node_set:
                     raise ValueError(f"edge ({u}, {v}) has an endpoint outside the node set")
-                per_round[t].add(_normalize_edge(u, v))
+                table.setdefault(u, set()).add(v)
+                table.setdefault(v, set()).add(u)
 
         self._p = p
         self._n = n
         self._nodes = node_set
-        self._edges = tuple(frozenset(s) for s in per_round)
-        adj = []
-        for t in range(p):
-            table = {v: set() for v in node_set}
-            for u, v in self._edges[t]:
-                table[u].add(v)
-                table[v].add(u)
-            adj.append({v: frozenset(s) for v, s in table.items()})
-        self._adj = tuple(adj)
+        self._adj = tuple({v: frozenset(s) for v, s in table.items()} for table in tables)
         self._max_degree = max(
             (len(s) for table in self._adj for s in table.values()), default=0
         )
@@ -107,14 +104,16 @@ class TemporalGraph:
 
     def edges(self, t: int) -> frozenset[tuple[int, int]]:
         """Edge set at time t (pairs normalized so u < v); t wraps mod p."""
-        return self._edges[t % self._p]
+        return frozenset(
+            (u, v) for u, ns in self._adj[t % self._p].items() for v in ns if u < v
+        )
 
     def neighbours(self, v: int, t: int) -> frozenset[int]:
         """Neighbour set of v at time t; t wraps mod p."""
-        table = self._adj[t % self._p]
-        if v not in table:
+        found = self._adj[t % self._p].get(v, _NO_NEIGHBOURS)
+        if not found and v not in self._nodes:
             raise KeyError(f"unknown node id {v}")
-        return table[v]
+        return found
 
     def degree(self, v: int, t: int) -> int:
         return len(self.neighbours(v, t))
@@ -133,14 +132,14 @@ class TemporalGraph:
             self._p == other._p
             and self._n == other._n
             and self._nodes == other._nodes
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __hash__(self):
-        return hash((self._p, self._n, self._nodes, self._edges))
+        return hash((self._p, self._n, self._nodes, tuple(map(self.edges, range(self._p)))))
 
     def __repr__(self) -> str:
-        m = sum(len(s) for s in self._edges)
+        m = sum(len(s) for table in self._adj for s in table.values()) // 2
         return f"TemporalGraph(p={self._p}, n={self._n}, nodes={len(self._nodes)}, temporal_edges={m})"
 
 
@@ -251,9 +250,11 @@ def serialize_tel(graph: TemporalGraph) -> str:
     that touch no edge are not expressible in the format.
     """
     lines = [f"p={graph.p} n={graph.n}"]
-    for t in range(graph.p):
-        for u, v in sorted(graph.edges(t)):
-            lines.append(f"{t} {u} {v}")
+    for t, table in enumerate(graph._adj):
+        for u in sorted(table):
+            for v in sorted(table[u]):
+                if u < v:
+                    lines.append(f"{t} {u} {v}")
     return "\n".join(lines) + "\n"
 
 

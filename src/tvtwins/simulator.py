@@ -94,10 +94,6 @@ class Simulation:
         self.config = config
         self._nodes = sorted(graph.nodes)
         p = graph.p
-        # Sorted neighbour lists fix the delivery order, hence determinism.
-        self._adj = [
-            {v: sorted(graph.neighbours(v, t)) for v in self._nodes} for t in range(p)
-        ]
         sp = config.sketch_params if config.mode == "sketch" else None
         self._sketches = None
         if sp is not None:
@@ -117,18 +113,20 @@ class Simulation:
         self.stats = RoundStats(**graph_digest(graph))
 
     def step(self) -> None:
-        p = self.graph.p
+        graph = self.graph
+        p = graph.p
         if self.round >= 2 * p:
             raise RuntimeError(f"all {2 * p} rounds already executed")
         round_no = self.round
         t = round_no % p
-        adj = self._adj[t]
         phase2 = round_no >= p
 
+        # Senders go in ascending order, so every receiver hears its senders in
+        # ascending order whatever the order of a neighbour set: hence determinism.
         outbox = []
         msgs = deliveries = total_bits = max_bits = 0
         for v in self._nodes:
-            neighbours = adj[v]
+            neighbours = graph.neighbours(v, t)
             msg = self.states[v].send_message(round_no, len(neighbours))
             if phase2 and self._sketches is not None:
                 granted = self._sketches[t]
@@ -151,7 +149,7 @@ class Simulation:
 
         if phase2:
             for v in self._nodes:
-                self.states[v].end_of_round(round_no, len(adj[v]))
+                self.states[v].end_of_round(round_no, graph.degree(v, t))
 
         self.stats.messages += msgs
         self.stats.deliveries += deliveries

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,21 @@ def test_isolated_node_has_empty_neighbourhood():
     assert g.neighbours(5, 3) == frozenset()
 
 
+def test_parse_memory_follows_edges_not_period():
+    # One edge among n=5000 nodes: the graph stores nothing per isolated node
+    # and round, so p=64 costs about what p=1 does.
+    def peak(p):
+        text = f"p={p} n=5000\n0 0 1\n"
+        tracemalloc.start()
+        try:
+            parse_tel(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 2 * peak(1)
+
+
 def test_periodicity(p3):
     assert p3.neighbours(2, 0) == p3.neighbours(2, 7)
 
@@ -185,7 +202,9 @@ def test_problem_params_validation():
 @given(temporal_graphs())
 @settings(max_examples=60)
 def test_round_trip_property(g):
-    assert parse_tel(serialize_tel(g)) == g
+    again = parse_tel(serialize_tel(g))
+    assert again == g
+    assert hash(again) == hash(g)
 
 
 @given(temporal_graphs())
@@ -196,6 +215,8 @@ def test_neighbour_symmetry_and_periodicity(g):
             assert g.neighbours(v, t) == g.neighbours(v, t + g.p)
             for u in g.neighbours(v, t):
                 assert v in g.neighbours(u, t)
+        pairs = {(min(u, v), max(u, v)) for v in g.nodes for u in g.neighbours(v, t)}
+        assert g.edges(t) == pairs
 
 
 @given(

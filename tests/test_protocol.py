@@ -154,8 +154,13 @@ def test_protocol_equals_reference(g, d):
         sim = Simulation(g, RunConfig(params=params))
         result = sim.run()
         assert result.windows == all_windows(g, params)
-        # Real-time detections are exactly the non-wrapping subset.
         for v, state in sim.states.items():
+            # Determinism rests on every receiver hearing its senders in
+            # ascending order.
+            for reports in state.neighbour_reports:
+                senders = [sender for sender, _ in reports]
+                assert senders == sorted(senders)
+            # Real-time detections are exactly the non-wrapping subset.
             realtime = {w for w, _ in state.realtime_log}
             assert realtime <= result.windows[v]
             for w in result.windows[v] - realtime:
