@@ -132,7 +132,7 @@ class NodeState:
 
         reporters = {sender for sender, _ in self.neighbour_reports[t]}
         own_sketch = None
-        if self.sketch_params is not None:
+        if self.sketch_params is not None and counts:
             own_sketch = build_sketch(reporters, self.sketch_params)
 
         detected = self.twins_at[t]

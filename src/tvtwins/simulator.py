@@ -92,23 +92,25 @@ class Simulation:
         config.params.validate_for_period(graph.p)
         self.graph = graph
         self.config = config
-        self._nodes = sorted(graph.nodes)
         p = graph.p
         sp = config.sketch_params if config.mode == "sketch" else None
+        params = config.params
+        # Keyed in ascending ID order, which fixes the order of every node loop.
+        self.states = {
+            v: NodeState(v, p, params.delta, params.d, sketch_params=sp, trace=trace_values)
+            for v in sorted(graph.nodes)
+        }
         self._sketches = None
         if sp is not None:
             # The engine grants each phase-2 entry the sketch of the named
             # node's neighbourhood at the matching time, the same way it
-            # grants every node its current degree.
+            # grants every node its current degree.  Only nodes with an edge at
+            # t need one: an entry names a neighbour of its forwarder, and the
+            # audit reads only pairs with a common neighbour.
             self._sketches = [
-                {v: build_sketch(graph.neighbours(v, t), sp) for v in self._nodes}
+                {v: build_sketch(ns, sp) for v in self.states if (ns := graph.neighbours(v, t))}
                 for t in range(p)
             ]
-        params = config.params
-        self.states = {
-            v: NodeState(v, p, params.delta, params.d, sketch_params=sp, trace=trace_values)
-            for v in self._nodes
-        }
         self.round = 0
         self.stats = RoundStats(**graph_digest(graph))
 
@@ -125,9 +127,9 @@ class Simulation:
         # ascending order whatever the order of a neighbour set: hence determinism.
         outbox = []
         msgs = deliveries = total_bits = max_bits = 0
-        for v in self._nodes:
+        for v, state in self.states.items():
             neighbours = graph.neighbours(v, t)
-            msg = self.states[v].send_message(round_no, len(neighbours))
+            msg = state.send_message(round_no, len(neighbours))
             if phase2 and self._sketches is not None:
                 granted = self._sketches[t]
                 msg = SketchPhase2Message(
@@ -148,8 +150,8 @@ class Simulation:
                 self.states[w].receive(msg, round_no)
 
         if phase2:
-            for v in self._nodes:
-                self.states[v].end_of_round(round_no, graph.degree(v, t))
+            for v, state in self.states.items():
+                state.end_of_round(round_no, graph.degree(v, t))
 
         self.stats.messages += msgs
         self.stats.deliveries += deliveries
@@ -166,7 +168,7 @@ class Simulation:
         total = 2 * self.graph.p
         while self.round < total:
             self.step()
-        windows = {v: self.states[v].finalize() for v in self._nodes}
+        windows = {v: state.finalize() for v, state in self.states.items()}
         return RunResult(windows=windows, stats=self.stats, rounds_executed=total)
 
 
@@ -225,7 +227,7 @@ def _audit_sketch_decisions(sim: Simulation, report: CompareReport) -> None:
     graph, sketches = sim.graph, sim._sketches
     sp = sim.config.sketch_params
     d = sim.config.params.d
-    nodes = sim._nodes
+    nodes = list(sim.states)
     for t in range(graph.p):
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:

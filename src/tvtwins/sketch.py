@@ -13,9 +13,6 @@ import statistics
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
-_U64 = np.uint64
 _HASH_SPACE = 2.0**64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -23,16 +20,12 @@ _MIX_2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 (wraparound intended)."""
-    x = values + _U64(_GOLDEN)
-    x = (x ^ (x >> _U64(30))) * _U64(_MIX_1)
-    x = (x ^ (x >> _U64(27))) * _U64(_MIX_2)
-    return x ^ (x >> _U64(31))
-
-
-def _seed_base(seed: int) -> int:
-    return int(_mix64(np.array([seed & _MASK], dtype=_U64))[0])
+def _mix64(x: int) -> int:
+    """splitmix64 finalizer on one 64-bit word, each step masked to 64 bits."""
+    x = (x + _GOLDEN) & _MASK
+    x = ((x ^ (x >> 30)) * _MIX_1) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX_2) & _MASK
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -105,13 +98,9 @@ class NeighbourhoodSketch:
 
 def build_sketch(ids, params: SketchParams) -> NeighbourhoodSketch:
     """Sketch a set of node IDs; deterministic given the IDs and the hash seed."""
-    id_list = list(ids)
-    if not id_list:
-        return NeighbourhoodSketch((), 0, params.k, params.hash_seed)
-    arr = np.fromiter(id_list, dtype=_U64, count=len(id_list))
-    hashed = np.unique(_mix64(arr ^ _U64(_seed_base(params.hash_seed))))
-    mins = tuple(int(h) for h in hashed[: params.k])
-    return NeighbourhoodSketch(mins, len(id_list), params.k, params.hash_seed)
+    base = _mix64(params.hash_seed & _MASK)
+    hashed = sorted({_mix64(i ^ base) for i in ids})
+    return NeighbourhoodSketch(tuple(hashed[: params.k]), len(ids), params.k, params.hash_seed)
 
 
 def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:

@@ -1,6 +1,6 @@
 import pytest
 
-from tvtwins import simulator
+from tvtwins import protocol, simulator
 from tvtwins import (
     ProblemParams,
     RunConfig,
@@ -92,15 +92,28 @@ def test_sketch_lossless_regime_matches_exact():
 
 
 def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
-    # The audit reuses the run's sketches: one engine build per node and round.
-    calls = []
+    # The audit reuses the run's sketches: one engine build per node and round
+    # in which the node has an edge.  Node 12 has none in any round.  A node
+    # builds its own sketch only in rounds where it has a candidate.
+    calls, own = [], []
     build = simulator.build_sketch
     monkeypatch.setattr(simulator, "build_sketch", lambda *a: calls.append(a) or build(*a))
-    g = generate_random(12, 3, 0.5, seed=9)
+    monkeypatch.setattr(protocol, "build_sketch", lambda *a: own.append(a) or build(*a))
+    base = generate_random(12, 3, 0.5, seed=9)
+    g = TemporalGraph(base.p, base.nodes | {12}, {t: base.edges(t) for t in range(base.p)})
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
     report = compare_with_oracle(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
     assert report.decisions > 0
-    assert len(calls) == g.n * g.p
+    with_edge = sum(1 for t in range(g.p) for v in g.nodes if g.degree(v, t))
+    assert with_edge < g.n * g.p
+    assert len(calls) == with_edge
+    with_candidate = sum(
+        1
+        for t in range(g.p)
+        for v in g.nodes
+        if any(w != v for u in g.neighbours(v, t) for w in g.neighbours(u, t))
+    )
+    assert len(own) == with_candidate
 
 
 def test_sketch_full_regime_mismatches_stay_near_thresholds():

@@ -43,6 +43,19 @@ def test_full_sketch_truncates_to_capacity():
 def test_build_deterministic():
     assert build_sketch({1, 2, 3}, params(seed=5)) == build_sketch({1, 2, 3}, params(seed=5))
     assert build_sketch({1, 2, 3}, params(seed=5)) != build_sketch({1, 2, 3}, params(seed=6))
+    # Pinned splitmix64 values: a changed hash would change every sketch-mode
+    # document.  Seeds are taken modulo 2**64.
+    assert build_sketch({0, 1, 2**40}, params(seed=-1)).mins == (
+        3964308327926799581,
+        6755974106381971767,
+        7521888212171461645,
+    )
+    for seed in (5, 2**64 + 5):
+        assert build_sketch(range(10), params(k=3, seed=seed)).mins == (
+            2611768881034074630,
+            7485121835981390325,
+            8701940948463266882,
+        )
 
 
 def test_union_identical_underfull_sets_is_exact():
