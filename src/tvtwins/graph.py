@@ -121,6 +121,27 @@ class TemporalGraph:
     def adjacent(self, u: int, v: int, t: int) -> bool:
         return v in self.neighbours(u, t)
 
+    def common_neighbour_pairs(self, t: int):
+        """Yield every pair (u, v), u < v, that shares a neighbour at time t, once.
+
+        Two-hop reach through each midpoint (a wedge listing, as in Chiba and
+        Nishizeki's subgraph listing): the cost is the sum over midpoints w of
+        deg_t(w)**2 in set unions, not one step per node pair.  t wraps mod p.
+        """
+        table = self._adj[t % self._p]
+        # Every node reached has an edge, so once the nodes below u are done,
+        # whatever remains of u's reach lies above u.
+        done = set()
+        for u in sorted(table):
+            done.add(u)
+            reach = set()
+            for w in table[u]:
+                reach |= table[w]
+                if len(reach) == len(table):
+                    break  # reached every node with an edge: dense rounds stop early
+            for v in reach - done:
+                yield u, v
+
     def max_degree(self) -> int:
         """Maximum degree over all nodes and all rounds (0 for edgeless graphs)."""
         return self._max_degree

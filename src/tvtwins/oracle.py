@@ -1,8 +1,11 @@
 """Centralized brute-force ground truth for twin detection.
 
 Everything here works directly on neighbour sets of the full graph, with no
-message passing, and is deliberately quadratic: it exists so the distributed
-protocol has an independent reference to be checked against.
+message passing: it exists so the distributed protocol has an independent
+reference to be checked against.  The decider is the plain set test of
+:func:`is_d_twin`; :func:`all_windows` asks it only about the pairs that share
+a neighbour in a round (a pair without one is no twin by definition), so its
+cost follows each round's two-hop reach, not the square of the node count.
 """
 
 from typing import NamedTuple
@@ -32,8 +35,11 @@ class PairProfile(NamedTuple):
 def _outside_sets(graph: TemporalGraph, u: int, v: int, t: int):
     if u == v:
         raise ValueError(f"twin relations need two distinct nodes, got {u} twice")
-    pair = {u, v}
-    return graph.neighbours(u, t) - pair, graph.neighbours(v, t) - pair
+    a, b = graph.neighbours(u, t), graph.neighbours(v, t)
+    # No node neighbours itself, so only an adjacent pair has a member to drop.
+    if v in a:
+        return a - {v}, b - {u}
+    return a, b
 
 
 def pair_profile(graph: TemporalGraph, u: int, v: int, t: int) -> PairProfile:
@@ -77,14 +83,14 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
     """
     params.validate_for_period(graph.p)
     p, delta, d = graph.p, params.delta, params.d
-    nodes = sorted(graph.nodes)
-    result: dict[int, set[TwinWindow]] = {v: set() for v in nodes}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            flags = [is_d_twin(graph, u, v, t, d) for t in range(p)]
-            if not any(flags):
-                continue
-            for t0 in window_starts(flags, delta):
-                result[u].add(TwinWindow(v, t0))
-                result[v].add(TwinWindow(u, t0))
+    flags: dict[tuple[int, int], list[bool]] = {}
+    for t in range(p):
+        for u, v in graph.common_neighbour_pairs(t):
+            if is_d_twin(graph, u, v, t, d):
+                flags.setdefault((u, v), [False] * p)[t] = True
+    result: dict[int, set[TwinWindow]] = {v: set() for v in sorted(graph.nodes)}
+    for (u, v), pair_flags in flags.items():
+        for t0 in window_starts(pair_flags, delta):
+            result[u].add(TwinWindow(v, t0))
+            result[v].add(TwinWindow(u, t0))
     return result

@@ -129,14 +129,14 @@ class Simulation:
         msgs = deliveries = total_bits = max_bits = 0
         for v, state in self.states.items():
             neighbours = graph.neighbours(v, t)
+            if not neighbours:
+                continue  # a message would reach nobody, so none is produced
             msg = state.send_message(round_no, len(neighbours))
             if phase2 and self._sketches is not None:
                 granted = self._sketches[t]
                 msg = SketchPhase2Message(
                     tuple((i, dg, granted[i]) for i, dg in msg.entries)
                 )
-            if not neighbours:
-                continue  # produced, delivered to nobody
             outbox.append((msg, neighbours))
             bits = message_bits(msg, self.stats.id_width)
             msgs += 1
@@ -197,7 +197,8 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     """Run the protocol and the reference; report per-node window differences.
 
     In sketch mode, additionally audit every per-round decision (each pair
-    with at least one common neighbour): count decisions the sketch flipped,
+    with at least one common neighbour, as listed by
+    ``TemporalGraph.common_neighbour_pairs``): count decisions the sketch flipped,
     and how many of those lie within the estimator's error band around the
     thresholds (difference within 2*(epsilon*max_degree + 0.5) of d, or a
     common-neighbour count within epsilon*max_degree + 0.5 of the >= 1 test).
@@ -227,22 +228,18 @@ def _audit_sketch_decisions(sim: Simulation, report: CompareReport) -> None:
     graph, sketches = sim.graph, sim._sketches
     sp = sim.config.sketch_params
     d = sim.config.params.d
-    nodes = list(sim.states)
     for t in range(graph.p):
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
-                profile = oracle.pair_profile(graph, u, v, t)
-                if profile.common_count < 1:
-                    continue
-                report.decisions += 1
-                exact_decision = profile.difference <= d
-                adj = 1 if graph.adjacent(u, v, t) else 0
-                sketch_decision = sketch_d_twin_test(sketches[t][u], sketches[t][v], adj, d)
-                if sketch_decision == exact_decision:
-                    continue
-                report.mismatched_decisions += 1
-                scale = sp.epsilon * max(graph.degree(u, t), graph.degree(v, t))
-                near_difference = abs(profile.difference - d) <= 2 * scale + 1
-                near_common = profile.common_count <= scale + 0.5
-                if near_difference or near_common:
-                    report.boundary_decisions += 1
+        for u, v in graph.common_neighbour_pairs(t):
+            profile = oracle.pair_profile(graph, u, v, t)
+            report.decisions += 1
+            exact_decision = profile.difference <= d
+            adj = 1 if graph.adjacent(u, v, t) else 0
+            sketch_decision = sketch_d_twin_test(sketches[t][u], sketches[t][v], adj, d)
+            if sketch_decision == exact_decision:
+                continue
+            report.mismatched_decisions += 1
+            scale = sp.epsilon * max(graph.degree(u, t), graph.degree(v, t))
+            near_difference = abs(profile.difference - d) <= 2 * scale + 1
+            near_common = profile.common_count <= scale + 0.5
+            if near_difference or near_common:
+                report.boundary_decisions += 1

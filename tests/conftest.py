@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import strategies as st
 
-from tvtwins import TemporalGraph, generate_random, parse_tel
+from tvtwins import (
+    ProblemParams,
+    TemporalGraph,
+    TwinWindow,
+    generate_random,
+    parse_tel,
+)
+from tvtwins.graph import window_starts
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -57,3 +64,30 @@ def temporal_graphs(draw, max_n: int = 9, max_p: int = 4):
     prob = draw(st.sampled_from([0.0, 0.15, 0.35, 0.6, 1.0]))
     seed = draw(st.integers(min_value=0, max_value=2**32))
     return generate_random(n, p, prob, seed=seed)
+
+
+def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:
+    """Reference for ``all_windows``: the naive scan over every pair of nodes in
+    every round, common neighbour or not, deciding each pair by the definition:
+    outside neighbourhoods that intersect and differ in at most d nodes.
+
+    Neighbourhoods are bitmasks here, an arithmetic route apart from the
+    oracle's set algebra."""
+    params.validate_for_period(graph.p)
+    nodes = sorted(graph.nodes)
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    masks = [
+        {v: sum(bit[w] for w in graph.neighbours(v, t)) for v in nodes} for t in range(graph.p)
+    ]
+    result: dict[int, set[TwinWindow]] = {v: set() for v in nodes}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            outside = ~(bit[u] | bit[v])
+            flags = []
+            for mask in masks:
+                a, b = mask[u] & outside, mask[v] & outside
+                flags.append(a & b != 0 and (a ^ b).bit_count() <= params.d)
+            for t0 in window_starts(flags, params.delta):
+                result[u].add(TwinWindow(v, t0))
+                result[v].add(TwinWindow(u, t0))
+    return result

@@ -30,7 +30,7 @@ from tvtwins import (
 )
 from tvtwins.cli import build_result_document, document_json
 
-from .conftest import WRAP_TEL, path_graph
+from .conftest import WRAP_TEL, all_pairs_windows, path_graph
 
 CORPUS_SIZE = 1000
 EDGE_PROBS = (0.1, 0.3, 0.6)
@@ -50,6 +50,7 @@ def corpus():
     summary = {
         "instances": 0,
         "window_mismatches": [],
+        "oracle_scan_mismatches": [],
         "round_count_errors": [],
         "bound_violations": [],
         "tight_instances": 0,
@@ -69,8 +70,11 @@ def corpus():
         result = sim.run()
         summary["instances"] += 1
 
-        if result.windows != all_windows(graph, params):
+        expected = all_windows(graph, params)
+        if result.windows != expected:
             summary["window_mismatches"].append(i)
+        if expected != all_pairs_windows(graph, params):
+            summary["oracle_scan_mismatches"].append(i)
         if result.rounds_executed != 2 * p:
             summary["round_count_errors"].append(i)
 
@@ -94,16 +98,23 @@ def corpus():
 
 
 def test_criterion_1_oracle_equivalence(corpus):
-    ok = corpus["instances"] >= 1000 and not corpus["window_mismatches"]
+    ok = (
+        corpus["instances"] >= 1000
+        and not corpus["window_mismatches"]
+        and not corpus["oracle_scan_mismatches"]
+    )
     report(
         1,
         "oracle equivalence",
         ok,
         f"{corpus['instances']} instances, "
-        f"{len(corpus['window_mismatches'])} mismatches, {corpus['elapsed']:.1f}s",
+        f"{len(corpus['window_mismatches'])} mismatches, "
+        f"{len(corpus['oracle_scan_mismatches'])} against the all-pairs scan, "
+        f"{corpus['elapsed']:.1f}s",
     )
     assert corpus["instances"] >= 1000
     assert corpus["window_mismatches"] == []
+    assert corpus["oracle_scan_mismatches"] == []
 
 
 def test_criterion_2_round_count(corpus):

@@ -2,18 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvtwins import oracle
 from tvtwins import (
     NoCommonNeighbourError,
     ProblemParams,
     TemporalGraph,
     TwinWindow,
     all_windows,
+    generate_random,
     is_d_twin,
     pair_profile,
     prop1_check,
 )
 
-from .conftest import adjacent_twins_graph, fig1_graph, path_graph, temporal_graphs
+from .conftest import (
+    adjacent_twins_graph,
+    all_pairs_windows,
+    fig1_graph,
+    path_graph,
+    temporal_graphs,
+)
 
 
 def test_profile_p3():
@@ -166,3 +174,72 @@ def test_all_windows_symmetric(g):
     for u in g.nodes:
         for w in result[u]:
             assert TwinWindow(u, w.start) in result[w.peer]
+
+
+def _pairs_with_common_neighbour(g: TemporalGraph, t: int) -> list[tuple[int, int]]:
+    """Every u < v with common_count >= 1 at t, by asking every pair."""
+    nodes = sorted(g.nodes)
+    return [
+        (u, v)
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+        if pair_profile(g, u, v, t).common_count >= 1
+    ]
+
+
+@given(temporal_graphs())
+@settings(max_examples=80)
+def test_common_neighbour_pairs_equal_naive_scan(g):
+    for t in range(g.p):
+        listed = list(g.common_neighbour_pairs(t))
+        assert sorted(listed) == _pairs_with_common_neighbour(g, t)  # u < v, each once
+
+
+def test_common_neighbour_pairs_sparse_ids_and_wrap():
+    # IDs above n-1 and isolated nodes; round 1 is empty and t=2 wraps to 0.
+    edges = {0: {(9, 14), (2, 14), (2, 5)}}
+    g = TemporalGraph(p=2, nodes={0, 1, 2, 5, 9, 14}, edges_at=edges, n=10)
+    assert sorted(g.common_neighbour_pairs(0)) == [(2, 9), (5, 14)]
+    assert list(g.common_neighbour_pairs(1)) == []
+    assert sorted(g.common_neighbour_pairs(2)) == [(2, 9), (5, 14)]
+    # Adjacent pairs are listed too when they share a neighbour.
+    adjacent = adjacent_twins_graph()
+    assert sorted(adjacent.common_neighbour_pairs(0)) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    ]
+
+
+@given(
+    temporal_graphs(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=80)
+def test_all_windows_equals_all_pairs_scan(g, delta, d):
+    params = ProblemParams(min(delta, g.p), d)
+    assert all_windows(g, params) == all_pairs_windows(g, params)
+
+
+def _count_decisions(monkeypatch) -> list:
+    calls = []
+    decide = oracle.is_d_twin
+    monkeypatch.setattr(oracle, "is_d_twin", lambda *a: calls.append(a) or decide(*a))
+    return calls
+
+
+def test_all_windows_decides_only_pairs_with_common_neighbour(monkeypatch):
+    calls = _count_decisions(monkeypatch)
+    g = generate_random(25, 4, 0.1, seed=3)
+    all_windows(g, ProblemParams(2, 1))
+    wedge_pairs = sum(len(_pairs_with_common_neighbour(g, t)) for t in range(g.p))
+    assert 0 < len(calls) == wedge_pairs < g.p * 25 * 24 // 2
+
+
+def test_all_windows_one_wedge_in_a_large_graph(monkeypatch):
+    calls = _count_decisions(monkeypatch)
+    g = TemporalGraph(p=50, nodes=range(20000), edges_at={0: {(0, 1), (1, 2)}})
+    result = all_windows(g, ProblemParams(1, 0))
+    assert len(calls) == 1
+    assert result[0] == {TwinWindow(2, 0)}
+    assert result[2] == {TwinWindow(0, 0)}
+    assert sum(map(len, result.values())) == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from tvtwins import protocol, simulator
+from tvtwins import oracle, protocol, simulator
 from tvtwins import (
     ProblemParams,
     RunConfig,
@@ -114,6 +114,42 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
         if any(w != v for u in g.neighbours(v, t) for w in g.neighbours(u, t))
     )
     assert len(own) == with_candidate
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_nodes_without_an_edge_send_nothing(monkeypatch, mode):
+    # Nodes 12 and 13 have no edge in any round: a message from them would
+    # reach nobody, so none is produced.
+    sent = []
+    send = protocol.NodeState.send_message
+    monkeypatch.setattr(
+        protocol.NodeState,
+        "send_message",
+        lambda self, *a: sent.append(self.node_id) or send(self, *a),
+    )
+    base = generate_random(12, 3, 0.3, seed=4)
+    g = TemporalGraph(base.p, base.nodes | {12, 13}, {t: base.edges(t) for t in range(base.p)})
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1) if mode == "sketch" else None
+    result = run(g, RunConfig(ProblemParams(2, 1), mode, sp))
+    with_edge = sum(1 for t in range(g.p) for v in g.nodes if g.degree(v, t))
+    assert len(sent) == result.stats.messages == 2 * with_edge
+    assert 12 not in sent and 13 not in sent
+
+
+def test_sketch_audit_decides_one_wedge_once(monkeypatch):
+    profiles, decided = [], []
+    profile, decide = oracle.pair_profile, oracle.is_d_twin
+    monkeypatch.setattr(oracle, "pair_profile", lambda *a: profiles.append(a) or profile(*a))
+    monkeypatch.setattr(oracle, "is_d_twin", lambda *a: decided.append(a) or decide(*a))
+    g = TemporalGraph(p=4, nodes=range(2000), edges_at={0: {(0, 1), (1, 2)}})
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
+    report = compare_with_oracle(g, RunConfig(ProblemParams(1, 0), "sketch", sp))
+    assert report.equal
+    assert report.decisions == 1
+    assert report.mismatched_decisions == 0
+    # The oracle decides the pair (0, 2) once; the audit profiles it once more.
+    assert len(decided) == 1
+    assert len(profiles) == 2
 
 
 def test_sketch_full_regime_mismatches_stay_near_thresholds():
