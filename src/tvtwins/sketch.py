@@ -5,13 +5,15 @@ set's exact size.  Two sketches built with the same seed support estimating
 the size of the union of the underlying sets, and from that (by
 inclusion-exclusion with the exact sizes) the size of the intersection.
 When both sketches hold fewer than k values they encode their sets' hashes
-completely and every estimate is exact.
+completely and every estimate is exact: one intersection of the two sketches'
+value sets counts the shared values, and the union and intersection follow
+from that count.
 """
 
 import math
 import statistics
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _HASH_SPACE = 2.0**64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -34,8 +36,9 @@ class SketchParams:
 
     ``epsilon`` and ``nu`` are the accuracy target (relative to the larger
     set) and the tolerated failure probability; ``k`` is the capacity that is
-    meant to achieve them.  ``hash_seed`` selects the hash function and must
-    be common to all sketches that are compared.
+    meant to achieve them, at least 2: with k = 1 the union estimate
+    (k-1)/r_k of a full sketch is always 0.  ``hash_seed`` selects the hash
+    function and must be common to all sketches that are compared.
     """
 
     k: int
@@ -44,8 +47,11 @@ class SketchParams:
     hash_seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("sketch capacity must be at least 1")
+        if self.k < 2:
+            raise ValueError(
+                "sketch capacity k must be at least 2: the k-minimum-values"
+                " union estimate (k-1)/r_k is 0 for k = 1"
+            )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.nu < 1.0:
@@ -68,17 +74,27 @@ def calibrated_capacity(epsilon: float, nu: float) -> int:
 
 @dataclass(frozen=True)
 class NeighbourhoodSketch:
-    """The k smallest distinct hash values of a set, plus the exact set size."""
+    """The k smallest distinct hash values of a set, plus the exact set size.
+
+    Two more fields are set once per sketch and take no part in equality,
+    hashing or repr.  ``values`` holds the hash values of ``mins`` as a
+    frozenset, so that each comparison of two sketches is one set operation;
+    :func:`build_sketch` passes the set it hashed, and a sketch built directly
+    derives it from ``mins``.  ``full`` tells whether the sketch may have
+    discarded hash values; an under-full one is lossless.
+    """
 
     mins: tuple[int, ...]
     exact_size: int
     k: int
     hash_seed: int
+    values: frozenset[int] = field(default=None, compare=False, repr=False)
+    full: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def full(self) -> bool:
-        """A full sketch may have discarded hash values; an under-full one is lossless."""
-        return len(self.mins) >= self.k
+    def __post_init__(self):
+        if self.values is None:
+            object.__setattr__(self, "values", frozenset(self.mins))
+        object.__setattr__(self, "full", len(self.mins) >= self.k)
 
     def serialize(self) -> bytes:
         """Fixed-size wire form: uint16 count, k uint64 value slots (zero
@@ -99,8 +115,14 @@ class NeighbourhoodSketch:
 def build_sketch(ids, params: SketchParams) -> NeighbourhoodSketch:
     """Sketch a set of node IDs; deterministic given the IDs and the hash seed."""
     base = _mix64(params.hash_seed & _MASK)
-    hashed = sorted({_mix64(i ^ base) for i in ids})
-    return NeighbourhoodSketch(tuple(hashed[: params.k]), len(ids), params.k, params.hash_seed)
+    # A frozenset copied from a set is sized to fit, unlike one grown from a
+    # sequence: for 20 values 64 slots against 128.
+    values = frozenset({_mix64(i ^ base) for i in ids})
+    mins = sorted(values)
+    if len(mins) > params.k:
+        del mins[params.k :]
+        values = frozenset(mins)
+    return NeighbourhoodSketch(tuple(mins), len(ids), params.k, params.hash_seed, values)
 
 
 def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
@@ -110,28 +132,49 @@ def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
         raise ValueError("sketches were built with different hash seeds")
 
 
-def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
-    """Estimate |A ∪ B| from two compatible sketches, via the set of their
-    merged hash values.
+def _distinct_values(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> int:
+    """How many distinct hash values two sketches hold between them."""
+    return len(a.mins) + len(b.mins) - len(a.values & b.values)
 
-    Exact (the size of that set) whenever both sketches are under-full.
-    Otherwise one sketch is full, so the set holds at least k values, and the
-    estimate is the k-minimum-values one, (k-1)/r_k, where r_k is the k-th
-    smallest merged hash normalized to (0, 1].
+
+def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
+    """Estimate |A ∪ B| from two compatible sketches.
+
+    Exact (the number of distinct hash values the two sketches hold) whenever
+    both sketches are under-full.  Otherwise one sketch is full, so together
+    they hold at least k values, and the estimate is the k-minimum-values
+    one, (k-1)/r_k, where r_k is the k-th smallest of those values
+    normalized to (0, 1].
     """
     _check_compatible(a, b)
-    merged = set(a.mins).union(b.mins)
     if not a.full and not b.full:
-        return float(len(merged))
-    rank_k = (sorted(merged)[a.k - 1] + 1) / _HASH_SPACE
+        return float(_distinct_values(a, b))
+    rank_k = (sorted(a.values | b.values)[a.k - 1] + 1) / _HASH_SPACE
     return (a.k - 1) / rank_k
+
+
+def _intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> int | float:
+    """|A ∩ B| by inclusion-exclusion with the exact set sizes, clamped to
+    the feasible range [0, min(|A|, |B|)].
+
+    When both sketches are under-full this is an exact int, never negative:
+    each exact size is at least its sketch's count of values.  The upper
+    clamp still matters there when IDs that are equal modulo 2**64 share a
+    hash value, so that a set's exact size exceeds that count.  Otherwise
+    the union is the float estimate of :func:`estimate_union`.
+    """
+    if a.full or b.full:
+        est = max(a.exact_size + b.exact_size - estimate_union(a, b), 0)
+    else:
+        _check_compatible(a, b)
+        est = a.exact_size + b.exact_size - _distinct_values(a, b)
+    return min(est, a.exact_size, b.exact_size)
 
 
 def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     """Estimate |A ∩ B| by inclusion-exclusion with the exact set sizes,
     clamped to the feasible range [0, min(|A|, |B|)]."""
-    est = a.exact_size + b.exact_size - estimate_union(a, b)
-    return min(max(est, 0.0), float(min(a.exact_size, b.exact_size)))
+    return float(_intersection(a, b))
 
 
 def sketch_d_twin_test(
@@ -143,11 +186,11 @@ def sketch_d_twin_test(
     down to outside-neighbourhood sizes.  The estimated intersection is
     rounded to the nearest integer (half up) and must be at least 1, mirroring
     the common-neighbour requirement.  In the regime where both sketches are
-    under-full the decision is exact.
+    under-full the intersection is an exact count and so is the decision.
     """
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
-    common = int(estimate_intersection(a, b) + 0.5)
+    common = int(_intersection(a, b) + 0.5)
     if common < 1:
         return False
     return (a.exact_size - adj) + (b.exact_size - adj) - 2 * common <= d

@@ -62,6 +62,16 @@ def test_run_rejects_delta_beyond_period(capsys, p3_file):
     assert "delta 2 exceeds period 1" in err
 
 
+def test_run_rejects_sketch_capacity_one(capsys, p3_file):
+    code, out, err = run_cli(
+        capsys,
+        "run", "--input", p3_file, "--delta", "1", "--d", "0", "--mode", "sketch", "--k", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sketch capacity k must be at least 2")
+
+
 def test_run_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--input", str(tmp_path / "nope.tel"), "--delta", "1", "--d", "0"

@@ -58,6 +58,25 @@ def test_build_deterministic():
         )
 
 
+def test_capacity_below_two_rejected():
+    # With k = 1 a full sketch's union estimate (k-1)/r_k is 0, so disjoint
+    # sets {1, 2, 3} and {4, 5, 6} would come out as 0-twins.
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match="k-minimum-values"):
+            SketchParams(k=k, epsilon=0.2, nu=0.1)
+    assert SketchParams(k=2, epsilon=0.2, nu=0.1).k == 2
+
+
+def test_value_set_holds_the_live_values():
+    for ids, k in (({4, 5, 6, 7}, 3), ({4, 5}, 3), (set(), 3), (set(range(300)), 20)):
+        built = build_sketch(ids, params(k=k))
+        assert built.values == frozenset(built.mins)
+        direct = NeighbourhoodSketch(built.mins, built.exact_size, built.k, built.hash_seed)
+        assert direct == built and hash(direct) == hash(built)
+        assert (direct.values, direct.full) == (built.values, built.full)
+        assert "values" not in repr(built) and "full" not in repr(built)
+
+
 def test_union_identical_underfull_sets_is_exact():
     a = build_sketch({1, 2, 3}, params())
     assert estimate_union(a, a) == 3.0
@@ -74,6 +93,24 @@ def test_union_exact_even_when_merged_exceeds_capacity():
     a = build_sketch(set(range(0, 7)), params(k=8))
     b = build_sketch(set(range(100, 107)), params(k=8))
     assert estimate_union(a, b) == 14.0
+
+
+def test_ids_equal_modulo_hash_space_share_a_value():
+    # IDs equal modulo 2**64 hash alike, so a's exact size (3) exceeds its
+    # count of hash values (2).  The estimates count hash values, not IDs.
+    a = build_sketch({1, 1 + 2**64, 7}, params(k=8))
+    b = build_sketch({1, 9}, params(k=8))
+    assert (a.exact_size, len(a.mins)) == (3, 2)
+    assert estimate_union(a, b) == 3.0
+    assert estimate_intersection(a, b) == 2.0
+    assert sketch_d_twin_test(a, b, 0, 1) is True
+    # Inclusion-exclusion gives 1 + 3 - 1 = 3 here; the clamp to the smaller
+    # set's size keeps the intersection at 1, so the difference stays 2.
+    c = build_sketch({1}, params(k=8))
+    e = build_sketch({1, 1 + 2**64, 1 + 2**65}, params(k=8))
+    assert estimate_intersection(c, e) == 1.0
+    assert sketch_d_twin_test(c, e, 0, 1) is False
+    assert sketch_d_twin_test(c, e, 0, 2) is True
 
 
 def test_incompatible_sketches_rejected():
@@ -172,14 +209,19 @@ def test_intersection_estimate_overlapping_sets():
     st.sets(st.integers(min_value=0, max_value=10**9), max_size=7),
     st.sets(st.integers(min_value=0, max_value=10**9), max_size=7),
     st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=14),
 )
 @settings(max_examples=100)
-def test_lossless_regime_is_exact(a_ids, b_ids, seed):
+def test_lossless_regime_is_exact(a_ids, b_ids, seed, adj, d):
     sp = SketchParams(k=8, epsilon=0.2, nu=0.1, hash_seed=seed)
     a = build_sketch(a_ids, sp)
     b = build_sketch(b_ids, sp)
+    common = len(a_ids & b_ids)
     assert estimate_union(a, b) == float(len(a_ids | b_ids))
-    assert estimate_intersection(a, b) == float(len(a_ids & b_ids))
+    assert estimate_intersection(a, b) == float(common)
+    exact = common >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * common <= d
+    assert sketch_d_twin_test(a, b, adj, d) == exact
 
 
 @given(
