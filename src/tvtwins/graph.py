@@ -115,6 +115,10 @@ class TemporalGraph:
             raise KeyError(f"unknown node id {v}")
         return found
 
+    def active_nodes(self, t: int):
+        """The nodes with an edge at time t, as a read-only view; t wraps mod p."""
+        return self._adj[t % self._p].keys()
+
     def degree(self, v: int, t: int) -> int:
         return len(self.neighbours(v, t))
 

@@ -20,14 +20,12 @@ class NoCommonNeighbourError(ValueError):
 class PairProfile(NamedTuple):
     """Set profile of a node pair at one time instant.
 
-    ``union_size`` and ``common_count`` are taken over the two outside
-    neighbourhoods (neighbour sets with both pair members removed);
-    ``difference`` is the size of their symmetric difference, which always
-    equals ``union_size - common_count``.  ``common_count`` also counts the
-    length-2 paths between the pair.
+    Both fields are taken over the two outside neighbourhoods (neighbour sets
+    with both pair members removed): ``common_count`` is the size of their
+    intersection, which also counts the length-2 paths between the pair, and
+    ``difference`` the size of their symmetric difference.
     """
 
-    union_size: int
     common_count: int
     difference: int
 
@@ -43,10 +41,10 @@ def _outside_sets(graph: TemporalGraph, u: int, v: int, t: int):
 
 
 def pair_profile(graph: TemporalGraph, u: int, v: int, t: int) -> PairProfile:
-    """Compute (union size, common count, symmetric difference) for a pair at time t."""
+    """Compute (common count, symmetric difference) for a pair at time t."""
     a, b = _outside_sets(graph, u, v, t)
     common = len(a & b)
-    return PairProfile(len(a | b), common, len(a) + len(b) - 2 * common)
+    return PairProfile(common, len(a) + len(b) - 2 * common)
 
 
 def is_d_twin(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:

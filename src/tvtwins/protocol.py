@@ -29,12 +29,9 @@ class Phase1Message:
 class Phase2Message:
     # (id, degree) pairs, forwarded verbatim from the matching phase-1 round.
     entries: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SketchPhase2Message:
-    # (id, degree, sketch of id's neighbourhood at the matching time).
-    entries: tuple[tuple[int, int, NeighbourhoodSketch], ...]
+    # Sketch mode only: the sketch of each entry's neighbourhood at the
+    # matching time, in entry order, granted by the engine.
+    sketches: tuple[NeighbourhoodSketch, ...] = ()
 
 
 def message_bits(msg, width: int) -> int:
@@ -42,9 +39,12 @@ def message_bits(msg, width: int) -> int:
     if isinstance(msg, Phase1Message):
         return 2 * width
     if isinstance(msg, Phase2Message):
-        return len(msg.entries) * 2 * width
-    if isinstance(msg, SketchPhase2Message):
-        return sum(2 * width + sk.bit_size(width) for _, _, sk in msg.entries)
+        bits = len(msg.entries) * 2 * width
+        # A loop, not sum() over a generator, which exact mode would pay for
+        # on every message although it has no sketches.
+        for sk in msg.sketches:
+            bits += sk.bit_size(width)
+        return bits
     raise TypeError(f"not a protocol message: {msg!r}")
 
 
@@ -97,22 +97,23 @@ class NodeState:
         if isinstance(msg, Phase1Message):
             self.neighbour_reports[round_no].append((msg.sender, msg.degree))
             return
-        if isinstance(msg, SketchPhase2Message):
-            for entry_id, _, sk in msg.entries:
+        if not isinstance(msg, Phase2Message):
+            raise TypeError(f"not a protocol message: {msg!r}")
+        counts = self.common_count
+        if msg.sketches:
+            sketches = self.entry_sketches
+            for (entry_id, _), sk in zip(msg.entries, msg.sketches):
                 if entry_id == self.node_id:
                     continue  # every neighbour echoes us back; never count ourselves
-                self.common_count[entry_id] = self.common_count.get(entry_id, 0) + 1
-                self.entry_sketches[entry_id] = sk
-        elif isinstance(msg, Phase2Message):
-            counts = self.common_count
+                counts[entry_id] = counts.get(entry_id, 0) + 1
+                sketches[entry_id] = sk
+        else:
             degrees = self.reported_degree
             for entry_id, degree in msg.entries:
                 if entry_id == self.node_id:
                     continue
                 counts[entry_id] = counts.get(entry_id, 0) + 1
                 degrees[entry_id] = degree
-        else:
-            raise TypeError(f"not a protocol message: {msg!r}")
 
     def end_of_round(self, round_no: int, degree: int) -> None:
         """Evaluate all candidates named this round and record the twins in

@@ -11,11 +11,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width
-from .protocol import (
-    NodeState,
-    SketchPhase2Message,
-    message_bits,
-)
+from .protocol import NodeState, Phase2Message, message_bits
 from .sketch import SketchParams, build_sketch, sketch_d_twin_test
 
 MODES = ("exact", "sketch")
@@ -95,10 +91,13 @@ class Simulation:
         p = graph.p
         sp = config.sketch_params if config.mode == "sketch" else None
         params = config.params
-        # Keyed in ascending ID order, which fixes the order of every node loop.
+        # Only a node with an edge in some round sends, hears or decides
+        # anything, so only those get a state.  Keyed in ascending ID order,
+        # which fixes the order of every node loop.
+        with_edge = set().union(*map(graph.active_nodes, range(p)))
         self.states = {
             v: NodeState(v, p, params.delta, params.d, sketch_params=sp, trace=trace_values)
-            for v in sorted(graph.nodes)
+            for v in sorted(with_edge)
         }
         self._sketches = None
         if sp is not None:
@@ -134,9 +133,7 @@ class Simulation:
             msg = state.send_message(round_no, len(neighbours))
             if phase2 and self._sketches is not None:
                 granted = self._sketches[t]
-                msg = SketchPhase2Message(
-                    tuple((i, dg, granted[i]) for i, dg in msg.entries)
-                )
+                msg = Phase2Message(msg.entries, tuple([granted[i] for i, _ in msg.entries]))
             outbox.append((msg, neighbours))
             bits = message_bits(msg, self.stats.id_width)
             msgs += 1
@@ -168,7 +165,10 @@ class Simulation:
         total = 2 * self.graph.p
         while self.round < total:
             self.step()
-        windows = {v: state.finalize() for v, state in self.states.items()}
+        states = self.states
+        windows = {
+            v: states[v].finalize() if v in states else set() for v in sorted(self.graph.nodes)
+        }
         return RunResult(windows=windows, stats=self.stats, rounds_executed=total)
 
 

@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from tvtwins import (
-    ProblemParams,
-    TemporalGraph,
-    TwinWindow,
-    generate_random,
-    parse_tel,
-)
+from tvtwins import ProblemParams, TemporalGraph, TwinWindow, generate_random, parse_tel
 from tvtwins.graph import window_starts
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,15 @@ def test_run_needs_no_numpy(capsys, wrap_file, tmp_path):
     assert child.returncode == 0, child.stderr
     assert run_cli(capsys, *argv, "--out", str(here))[0] == 0
     assert bare.read_bytes() == here.read_bytes()
+
+
+def test_exports_are_the_documented_library():
+    # The README's Library table names one export per row, in __all__ order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", library, re.M)
+    assert documented == tvtwins.__all__
+    assert all(hasattr(tvtwins, name) for name in documented)
 
 
 def test_oracle_matches_run_byte_for_byte(capsys, wrap_file):

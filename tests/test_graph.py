@@ -5,18 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvtwins import (
-    PlantInfeasibleError,
     ProblemParams,
     TelParseError,
     TemporalGraph,
-    TwinPlant,
     generate_random,
-    id_width,
-    pair_profile,
     parse_tel,
     serialize_tel,
 )
-from tvtwins.graph import window_starts
+from tvtwins.graph import PlantInfeasibleError, TwinPlant, id_width, window_starts
+from tvtwins.oracle import pair_profile
 
 from .conftest import WRAP_TEL, temporal_graphs
 
@@ -109,6 +106,12 @@ def test_isolated_node_has_empty_neighbourhood():
     g = TemporalGraph(p=1, nodes={1, 2, 3, 5}, edges_at={0: {(1, 2), (2, 3)}}, n=6)
     assert g.neighbours(5, 0) == frozenset()
     assert g.neighbours(5, 3) == frozenset()
+
+
+def test_active_nodes_are_the_nodes_with_an_edge():
+    g = TemporalGraph(p=2, nodes={1, 2, 3, 5}, edges_at={0: {(1, 2), (2, 3)}}, n=6)
+    assert set(g.active_nodes(0)) == {1, 2, 3} == set(g.active_nodes(2))
+    assert set(g.active_nodes(1)) == set()
 
 
 def test_parse_memory_follows_edges_not_period():

@@ -2,20 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvtwins import (
-    NodeState,
-    Phase1Message,
-    Phase2Message,
-    ProblemParams,
-    ProtocolError,
-    RunConfig,
-    Simulation,
-    TwinWindow,
-    all_windows,
-    message_bits,
-    pair_profile,
-    run,
-)
+from tvtwins import ProblemParams, RunConfig, Simulation, SketchParams, TwinWindow, all_windows, run
+from tvtwins.oracle import pair_profile
+from tvtwins.protocol import NodeState, Phase1Message, Phase2Message, ProtocolError, message_bits
+from tvtwins.sketch import build_sketch
 
 from .conftest import adjacent_twins_graph, path_graph, temporal_graphs
 
@@ -121,6 +111,12 @@ def test_finalize_recovers_wrapping_window(wrap_graph):
 def test_message_bits():
     assert message_bits(Phase1Message(0, 1), 5) == 10
     assert message_bits(Phase2Message(((1, 2), (3, 4), (5, 6))), 5) == 30
+    # Sketch mode: each entry adds its sketch, a 16-bit count, 64 bits per
+    # live value and a width-bit exact size.  Capacity 4: 2 and 4 live values.
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
+    sketches = (build_sketch({1, 2}, sp), build_sketch(range(9), sp))
+    msg = Phase2Message(((1, 2), (3, 9)), sketches)
+    assert message_bits(msg, 5) == sum(2 * 5 + 16 + 64 * live + 5 for live in (2, 4))
     with pytest.raises(TypeError):
         message_bits(object(), 5)
 

@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvtwins import oracle, protocol, simulator
 from tvtwins import (
@@ -10,12 +14,13 @@ from tvtwins import (
     all_windows,
     compare_with_oracle,
     generate_random,
-    id_width,
+    parse_tel,
     run,
 )
 from tvtwins.cli import build_result_document, document_json
+from tvtwins.graph import id_width
 
-from .conftest import path_graph
+from .conftest import path_graph, temporal_graphs
 
 
 def test_round_count_is_twice_the_period(wrap_graph):
@@ -134,6 +139,40 @@ def test_nodes_without_an_edge_send_nothing(monkeypatch, mode):
     with_edge = sum(1 for t in range(g.p) for v in g.nodes if g.degree(v, t))
     assert len(sent) == result.stats.messages == 2 * with_edge
     assert 12 not in sent and 13 not in sent
+
+
+def test_run_memory_follows_edges_not_period():
+    # One edge among n=5000 nodes: only its two endpoints get a node state,
+    # so p=64 costs about what p=1 does.
+    def peak(p):
+        graph = parse_tel(f"p={p} n=5000\n0 0 1\n")
+        tracemalloc.start()
+        try:
+            run(graph, RunConfig(ProblemParams(1, 0)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 2 * peak(1)
+
+
+@given(
+    temporal_graphs(max_n=8),
+    st.integers(min_value=0, max_value=2),
+    st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_isolated_nodes_change_no_window(g, d, offsets):
+    # Metamorphic: a node without an edge is nobody's neighbour, so adding
+    # some leaves every other node's windows as they were and has none itself.
+    added = {max(g.nodes) + 1 + x for x in offsets}
+    bigger = TemporalGraph(g.p, g.nodes | added, {t: g.edges(t) for t in range(g.p)})
+    params = ProblemParams(min(2, g.p), d)
+    none = {v: set() for v in added}
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)  # small k: some sketches are full
+    for config in (RunConfig(params), RunConfig(params, "sketch", sp)):
+        assert run(bigger, config).windows == {**run(g, config).windows, **none}
+    assert all_windows(bigger, params) == {**all_windows(g, params), **none}
 
 
 def test_sketch_audit_decides_one_wedge_once(monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvtwins import (
+from tvtwins import SketchParams
+from tvtwins.sketch import (
     NeighbourhoodSketch,
-    SketchParams,
     build_sketch,
     calibrated_capacity,
     estimate_intersection,
