@@ -30,21 +30,17 @@ class PairProfile(NamedTuple):
     difference: int
 
 
-def _outside_sets(graph: TemporalGraph, u: int, v: int, t: int):
+def pair_profile(graph: TemporalGraph, u: int, v: int, t: int) -> PairProfile:
+    """Compute (common count, symmetric difference) for a pair at time t."""
     if u == v:
         raise ValueError(f"twin relations need two distinct nodes, got {u} twice")
     a, b = graph.neighbours(u, t), graph.neighbours(v, t)
-    # No node neighbours itself, so only an adjacent pair has a member to drop.
-    if v in a:
-        return a - {v}, b - {u}
-    return a, b
-
-
-def pair_profile(graph: TemporalGraph, u: int, v: int, t: int) -> PairProfile:
-    """Compute (common count, symmetric difference) for a pair at time t."""
-    a, b = _outside_sets(graph, u, v, t)
+    # No node neighbours itself, so neither pair member lies in a & b: it is
+    # already the outside intersection.  Adjacency puts one member in each
+    # raw set, which the outside sets drop.
     common = len(a & b)
-    return PairProfile(common, len(a) + len(b) - 2 * common)
+    adj = 1 if v in a else 0
+    return PairProfile(common, len(a) + len(b) - 2 * adj - 2 * common)
 
 
 def is_d_twin(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:

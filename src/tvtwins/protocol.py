@@ -12,6 +12,8 @@ boundary are recovered by a circular scan at the end.
 from dataclasses import dataclass
 
 from .graph import TwinWindow, window_starts
+# build_sketch is not called here (a node takes its own sketch from its echoed
+# phase-2 entry); it stays bound because perfbench's tracer wraps it here.
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test
 
 
@@ -75,6 +77,9 @@ class NodeState:
         self.common_count: dict[int, int] = {}
         self.reported_degree: dict[int, int] = {}
         self.entry_sketches: dict[int, NeighbourhoodSketch] = {}
+        # Sketch mode: this node's own sketch, from the entry naming it that
+        # every neighbour echoes back.
+        self.own_sketch: NeighbourhoodSketch | None = None
         # time index -> ids detected as d-twins at that time: the node's only
         # record of its verdicts, from which every window is read.
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
@@ -104,7 +109,8 @@ class NodeState:
             sketches = self.entry_sketches
             for (entry_id, _), sk in zip(msg.entries, msg.sketches):
                 if entry_id == self.node_id:
-                    continue  # every neighbour echoes us back; never count ourselves
+                    self.own_sketch = sk  # every neighbour echoes us back; never count ourselves
+                    continue
                 counts[entry_id] = counts.get(entry_id, 0) + 1
                 sketches[entry_id] = sk
         else:
@@ -132,9 +138,11 @@ class NodeState:
         earlier = self.twins_at[start:t] if start >= 0 else None
 
         reporters = {sender for sender, _ in self.neighbour_reports[t]}
-        own_sketch = None
-        if self.sketch_params is not None and counts:
-            own_sketch = build_sketch(reporters, self.sketch_params)
+        own_sketch = self.own_sketch
+        if self.sketch_params is not None and counts and own_sketch is None:
+            raise ProtocolError(
+                f"round {round_no}: candidates named but no neighbour echoed this node's sketch"
+            )
 
         detected = self.twins_at[t]
         for twin_id, count in counts.items():
@@ -156,6 +164,7 @@ class NodeState:
         self.common_count = {}
         self.reported_degree = {}
         self.entry_sketches = {}
+        self.own_sketch = None
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:

@@ -10,8 +10,10 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import oracle
-from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width
+from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width, window_starts
 from .protocol import NodeState, Phase2Message, message_bits
+# sketch_d_twin_test is not called here (the audit reads the nodes' recorded
+# verdicts); it stays bound because perfbench's tracer wraps it here.
 from .sketch import SketchParams, build_sketch, sketch_d_twin_test
 
 MODES = ("exact", "sketch")
@@ -196,6 +198,10 @@ class CompareReport:
 def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareReport:
     """Run the protocol and the reference; report per-node window differences.
 
+    The reference is one oracle pass at delta = 1, whose windows are the
+    oracle's verdict for every pair and round; the delta windows are read
+    from those verdicts by the same circular scan.
+
     In sketch mode, additionally audit every per-round decision (each pair
     with at least one common neighbour, as listed by
     ``TemporalGraph.common_neighbour_pairs``): count decisions the sketch flipped,
@@ -205,7 +211,8 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     """
     sim = Simulation(graph, config)
     result = sim.run()
-    expected = oracle.all_windows(graph, config.params)
+    verdicts = oracle.all_windows(graph, ProblemParams(1, config.params.d))
+    expected = _widen(verdicts, graph.p, config.params.delta)
     differences = {}
     for v in sorted(graph.nodes):
         missing = frozenset(expected[v] - result.windows[v])
@@ -219,26 +226,46 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
         rounds_executed=result.rounds_executed,
     )
     if config.mode == "sketch":
-        _audit_sketch_decisions(sim, report)
+        _audit_sketch_decisions(sim, verdicts, report)
     return report
 
 
-def _audit_sketch_decisions(sim: Simulation, report: CompareReport) -> None:
-    """Replay every per-round decision with the sketches the run granted."""
-    graph, sketches = sim.graph, sim._sketches
-    sp = sim.config.sketch_params
+def _widen(verdicts: dict[int, set[TwinWindow]], p: int, delta: int) -> dict:
+    """Every node's delta windows, from its windows of length 1."""
+    widened = {}
+    for v, singles in verdicts.items():
+        flags: dict[int, list[bool]] = {}
+        for peer, t in singles:
+            flags.setdefault(peer, [False] * p)[t] = True
+        widened[v] = {
+            TwinWindow(peer, t0)
+            for peer, peer_flags in flags.items()
+            for t0 in window_starts(peer_flags, delta)
+        }
+    return widened
+
+
+def _audit_sketch_decisions(
+    sim: Simulation, verdicts: dict[int, set[TwinWindow]], report: CompareReport
+) -> None:
+    """Compare every per-round decision the run recorded with the oracle's.
+
+    The sketch decision of a pair (u, v) at t is whether u recorded v in
+    ``twins_at[t]``; the exact one is whether the oracle's windows of length
+    1 list (v, t) for u.  Only a mismatched pair is profiled, to place it in
+    the error band.
+    """
+    graph, states = sim.graph, sim.states
+    epsilon = sim.config.sketch_params.epsilon
     d = sim.config.params.d
     for t in range(graph.p):
         for u, v in graph.common_neighbour_pairs(t):
-            profile = oracle.pair_profile(graph, u, v, t)
             report.decisions += 1
-            exact_decision = profile.difference <= d
-            adj = 1 if graph.adjacent(u, v, t) else 0
-            sketch_decision = sketch_d_twin_test(sketches[t][u], sketches[t][v], adj, d)
-            if sketch_decision == exact_decision:
+            if (v in states[u].twins_at[t]) == (TwinWindow(v, t) in verdicts[u]):
                 continue
             report.mismatched_decisions += 1
-            scale = sp.epsilon * max(graph.degree(u, t), graph.degree(v, t))
+            profile = oracle.pair_profile(graph, u, v, t)
+            scale = epsilon * max(graph.degree(u, t), graph.degree(v, t))
             near_difference = abs(profile.difference - d) <= 2 * scale + 1
             near_common = profile.common_count <= scale + 0.5
             if near_difference or near_common:

@@ -187,10 +187,24 @@ def sketch_d_twin_test(
     rounded to the nearest integer (half up) and must be at least 1, mirroring
     the common-neighbour requirement.  In the regime where both sketches are
     under-full the intersection is an exact count and so is the decision.
+
+    The intersection is that of :func:`estimate_intersection`, which never
+    exceeds min(|A|, |B|); so the difference is at least
+    abs(|A| - |B|) - 2*adj, and a pair whose sizes alone put it above d is
+    rejected before any value is compared: the size filter of exact
+    set-similarity joins, which changes no decision.
     """
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
-    common = int(_intersection(a, b) + 0.5)
+    _check_compatible(a, b)
+    size_a, size_b = a.exact_size, b.exact_size
+    if abs(size_a - size_b) - 2 * adj > d:
+        return False
+    if a.full or b.full:
+        common = int(_intersection(a, b) + 0.5)
+    else:  # _intersection's under-full branch, inlined for the hot path
+        shared = len(a.values & b.values)
+        common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)
     if common < 1:
         return False
-    return (a.exact_size - adj) + (b.exact_size - adj) - 2 * common <= d
+    return size_a + size_b - 2 * adj - 2 * common <= d

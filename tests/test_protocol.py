@@ -71,6 +71,27 @@ def test_end_of_round_outside_phase2():
         state.end_of_round(0, 1)
 
 
+def test_sketch_end_of_round_reads_echoed_own_sketch():
+    # Node 1 on the 3-path 1-2-3: forwarder 2 echoes node 1's entry with its
+    # sketch, which node 1 compares with node 3's.  Without the echo it has a
+    # candidate and nothing to compare it with, and fails fast.
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
+    own, peer = build_sketch({2}, sp), build_sketch({2}, sp)
+    state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
+    state.receive(Phase1Message(2, 2), 0)
+    state.receive(Phase2Message(((3, 1), (1, 1)), (peer, own)), 1)
+    assert state.own_sketch is own
+    state.end_of_round(1, 1)
+    assert state.twins_at[0] == {3}
+    assert state.own_sketch is None
+
+    state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
+    state.receive(Phase1Message(2, 2), 0)
+    state.receive(Phase2Message(((3, 1),), (peer,)), 1)
+    with pytest.raises(ProtocolError, match="echoed"):
+        state.end_of_round(1, 1)
+
+
 def test_run_broken_when_candidate_unnamed():
     # Peer 5 is a twin at t=0 and t=2 but unnamed at t=1, so no window lies
     # inside the period; only the wrapping window from t=2 exists.

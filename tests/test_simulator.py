@@ -19,6 +19,7 @@ from tvtwins import (
 )
 from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width
+from tvtwins.sketch import build_sketch, sketch_d_twin_test
 
 from .conftest import path_graph, temporal_graphs
 
@@ -97,9 +98,9 @@ def test_sketch_lossless_regime_matches_exact():
 
 
 def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
-    # The audit reuses the run's sketches: one engine build per node and round
+    # The audit reuses the run's verdicts: one engine build per node and round
     # in which the node has an edge.  Node 12 has none in any round.  A node
-    # builds its own sketch only in rounds where it has a candidate.
+    # builds no sketch: it reads its own from the entry its neighbours echo.
     calls, own = [], []
     build = simulator.build_sketch
     monkeypatch.setattr(simulator, "build_sketch", lambda *a: calls.append(a) or build(*a))
@@ -112,13 +113,7 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     with_edge = sum(1 for t in range(g.p) for v in g.nodes if g.degree(v, t))
     assert with_edge < g.n * g.p
     assert len(calls) == with_edge
-    with_candidate = sum(
-        1
-        for t in range(g.p)
-        for v in g.nodes
-        if any(w != v for u in g.neighbours(v, t) for w in g.neighbours(u, t))
-    )
-    assert len(own) == with_candidate
+    assert own == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "sketch"])
@@ -186,9 +181,10 @@ def test_sketch_audit_decides_one_wedge_once(monkeypatch):
     assert report.equal
     assert report.decisions == 1
     assert report.mismatched_decisions == 0
-    # The oracle decides the pair (0, 2) once; the audit profiles it once more.
+    # The oracle decides the pair (0, 2) once; the audit reads that verdict
+    # and profiles no pair, since the sketch agrees.
     assert len(decided) == 1
-    assert len(profiles) == 2
+    assert len(profiles) == 1
 
 
 def test_sketch_full_regime_mismatches_stay_near_thresholds():
@@ -202,6 +198,45 @@ def test_sketch_full_regime_mismatches_stay_near_thresholds():
     assert report.decisions > 0
     assert report.mismatched_decisions > 0
     assert report.boundary_decisions == report.mismatched_decisions
+
+
+@pytest.mark.parametrize(
+    "n, p, prob, seed, d", [(30, 2, 0.5, 21, 3), (30, 4, 0.5, 2, 3), (40, 3, 0.3, 7, 1)]
+)
+def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
+    # The audit reads the run's verdicts and profiles only mismatched pairs;
+    # replaying every listed pair from freshly built sketches and a profile
+    # of each must give the same counts.
+    g = generate_random(n, p, prob, seed=seed)
+    sp = SketchParams(k=4, epsilon=0.9, nu=0.5, hash_seed=seed)
+    report = compare_with_oracle(g, RunConfig(ProblemParams(1, d), "sketch", sp))
+    decisions = mismatched = boundary = 0
+    for t in range(g.p):
+        sketches = {v: build_sketch(g.neighbours(v, t), sp) for v in g.active_nodes(t)}
+        for u, v in g.common_neighbour_pairs(t):
+            decisions += 1
+            profile = oracle.pair_profile(g, u, v, t)
+            adj = 1 if g.adjacent(u, v, t) else 0
+            if sketch_d_twin_test(sketches[u], sketches[v], adj, d) == (profile.difference <= d):
+                continue
+            mismatched += 1
+            scale = sp.epsilon * max(g.degree(u, t), g.degree(v, t))
+            if abs(profile.difference - d) <= 2 * scale + 1 or profile.common_count <= scale + 0.5:
+                boundary += 1
+    assert mismatched > 0
+    assert (report.decisions, report.mismatched_decisions, report.boundary_decisions) == (
+        decisions,
+        mismatched,
+        boundary,
+    )
+
+
+@given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_widened_round_verdicts_equal_delta_windows(g, d, data):
+    delta = data.draw(st.integers(min_value=1, max_value=g.p))
+    verdicts = all_windows(g, ProblemParams(1, d))
+    assert simulator._widen(verdicts, g.p, delta) == all_windows(g, ProblemParams(delta, d))
 
 
 def test_sketch_windows_equal_oracle_with_generous_capacity(wrap_graph):

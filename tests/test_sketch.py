@@ -121,6 +121,14 @@ def test_incompatible_sketches_rejected():
         estimate_union(a, build_sketch({1}, params(k=8, seed=1)))
 
 
+def test_twin_test_checks_compatibility_before_size_filter():
+    # Sizes 1 and 20 alone rule the pair out at d = 0; the mismatch still raises.
+    a = build_sketch({1}, params(k=8, seed=0))
+    for b in (build_sketch(range(20), params(k=16)), build_sketch(range(20), params(k=8, seed=1))):
+        with pytest.raises(ValueError):
+            sketch_d_twin_test(a, b, 0, 0)
+
+
 def test_intersection_identical_sets():
     a = build_sketch({1, 2, 3}, params())
     assert estimate_intersection(a, a) == 3.0
@@ -242,6 +250,33 @@ def test_estimator_sanity(a_ids, b_ids, seed, k):
         # Reference: the KMV value from numpy's sorted union of the two sketches.
         merged = np.union1d(np.array(a.mins, dtype=np.uint64), np.array(b.mins, dtype=np.uint64))
         assert estimate_union(a, b) == (k - 1) / ((int(merged[k - 1]) + 1) / 2.0**64)
+
+
+# Small IDs overlap often; a few equal others modulo 2**64 and share their hash.
+_ids = st.one_of(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=5).map(lambda i: i + 2**64),
+)
+
+
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.sets(_ids, max_size=45),
+    st.sets(_ids, max_size=45),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=14),
+)
+@settings(max_examples=300)
+def test_twin_test_is_the_rounded_intersection_rule(k, a_ids, b_ids, seed, adj, d):
+    # The size filter and the inlined under-full count decide as the rule
+    # stated through estimate_intersection, full sketches and shared hash
+    # values included.
+    sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=seed)
+    a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
+    c = int(estimate_intersection(a, b) + 0.5)
+    rule = c >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * c <= d
+    assert sketch_d_twin_test(a, b, adj, d) == rule
 
 
 def test_full_regime_decisions_mostly_agree():
