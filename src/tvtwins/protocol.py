@@ -31,9 +31,9 @@ class Phase1Message:
 class Phase2Message:
     # (id, degree) pairs, forwarded verbatim from the matching phase-1 round.
     entries: tuple[tuple[int, int], ...]
-    # Sketch mode only: the sketch of each entry's neighbourhood at the
-    # matching time, in entry order, granted by the engine.
-    sketches: tuple[NeighbourhoodSketch, ...] = ()
+    # Sketch mode only: entry id -> the sketch of that node's neighbourhood at
+    # the matching time, granted by the engine.
+    sketches: dict[int, NeighbourhoodSketch] | None = None
 
 
 def message_bits(msg, width: int) -> int:
@@ -42,10 +42,9 @@ def message_bits(msg, width: int) -> int:
         return 2 * width
     if isinstance(msg, Phase2Message):
         bits = len(msg.entries) * 2 * width
-        # A loop, not sum() over a generator, which exact mode would pay for
-        # on every message although it has no sketches.
-        for sk in msg.sketches:
-            bits += sk.bit_size(width)
+        if msg.sketches:
+            for sk in msg.sketches.values():
+                bits += sk.bit_size(width)
         return bits
     raise TypeError(f"not a protocol message: {msg!r}")
 
@@ -76,10 +75,9 @@ class NodeState:
         # Per-round accumulators, cleared by end_of_round.
         self.common_count: dict[int, int] = {}
         self.reported_degree: dict[int, int] = {}
+        # Sketch mode: the granted sketches by entry id, this node's own
+        # included, since every neighbour echoes its entry back.
         self.entry_sketches: dict[int, NeighbourhoodSketch] = {}
-        # Sketch mode: this node's own sketch, from the entry naming it that
-        # every neighbour echoes back.
-        self.own_sketch: NeighbourhoodSketch | None = None
         # time index -> ids detected as d-twins at that time: the node's only
         # record of its verdicts, from which every window is read.
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
@@ -106,13 +104,10 @@ class NodeState:
             raise TypeError(f"not a protocol message: {msg!r}")
         counts = self.common_count
         if msg.sketches:
-            sketches = self.entry_sketches
-            for (entry_id, _), sk in zip(msg.entries, msg.sketches):
-                if entry_id == self.node_id:
-                    self.own_sketch = sk  # every neighbour echoes us back; never count ourselves
-                    continue
+            self.entry_sketches.update(msg.sketches)
+            for entry_id, _ in msg.entries:
                 counts[entry_id] = counts.get(entry_id, 0) + 1
-                sketches[entry_id] = sk
+            counts.pop(self.node_id, None)  # every neighbour echoes us back; never count ourselves
         else:
             degrees = self.reported_degree
             for entry_id, degree in msg.entries:
@@ -138,7 +133,7 @@ class NodeState:
         earlier = self.twins_at[start:t] if start >= 0 else None
 
         reporters = {sender for sender, _ in self.neighbour_reports[t]}
-        own_sketch = self.own_sketch
+        own_sketch = self.entry_sketches.get(self.node_id)
         if self.sketch_params is not None and counts and own_sketch is None:
             raise ProtocolError(
                 f"round {round_no}: candidates named but no neighbour echoed this node's sketch"
@@ -164,7 +159,6 @@ class NodeState:
         self.common_count = {}
         self.reported_degree = {}
         self.entry_sketches = {}
-        self.own_sketch = None
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:

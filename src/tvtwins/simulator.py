@@ -135,7 +135,7 @@ class Simulation:
             msg = state.send_message(round_no, len(neighbours))
             if phase2 and self._sketches is not None:
                 granted = self._sketches[t]
-                msg = Phase2Message(msg.entries, tuple([granted[i] for i, _ in msg.entries]))
+                msg = Phase2Message(msg.entries, {i: granted[i] for i, _ in msg.entries})
             outbox.append((msg, neighbours))
             bits = message_bits(msg, self.stats.id_width)
             msgs += 1
@@ -250,23 +250,30 @@ def _audit_sketch_decisions(
 ) -> None:
     """Compare every per-round decision the run recorded with the oracle's.
 
-    The sketch decision of a pair (u, v) at t is whether u recorded v in
-    ``twins_at[t]``; the exact one is whether the oracle's windows of length
-    1 list (v, t) for u.  Only a mismatched pair is profiled, to place it in
-    the error band.
+    The sketch decision of a pair (u, v), u < v, at t is whether u recorded v
+    in ``twins_at[t]``; the exact one is whether the oracle's windows of
+    length 1 list (v, t) for u.  Both sides name only pairs with a common
+    neighbour, so the mismatches are the symmetric difference of the two, and
+    the listed pairs are only counted.  Only a mismatched pair is profiled, to
+    place it in the error band.
     """
-    graph, states = sim.graph, sim.states
+    graph = sim.graph
     epsilon = sim.config.sketch_params.epsilon
     d = sim.config.params.d
-    for t in range(graph.p):
-        for u, v in graph.common_neighbour_pairs(t):
-            report.decisions += 1
-            if (v in states[u].twins_at[t]) == (TwinWindow(v, t) in verdicts[u]):
-                continue
-            report.mismatched_decisions += 1
-            profile = oracle.pair_profile(graph, u, v, t)
-            scale = epsilon * max(graph.degree(u, t), graph.degree(v, t))
-            near_difference = abs(profile.difference - d) <= 2 * scale + 1
-            near_common = profile.common_count <= scale + 0.5
-            if near_difference or near_common:
-                report.boundary_decisions += 1
+    report.decisions += sum(1 for t in range(graph.p) for _ in graph.common_neighbour_pairs(t))
+    sketched = {
+        (u, v, t)
+        for u, state in sim.states.items()
+        for t, twins in enumerate(state.twins_at)
+        for v in twins
+        if v > u
+    }
+    exact = {(u, v, t) for u, windows in verdicts.items() for v, t in windows if v > u}
+    for u, v, t in sketched ^ exact:
+        report.mismatched_decisions += 1
+        profile = oracle.pair_profile(graph, u, v, t)
+        scale = epsilon * max(graph.degree(u, t), graph.degree(v, t))
+        near_difference = abs(profile.difference - d) <= 2 * scale + 1
+        near_common = profile.common_count <= scale + 0.5
+        if near_difference or near_common:
+            report.boundary_decisions += 1

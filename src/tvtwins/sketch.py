@@ -7,13 +7,17 @@ inclusion-exclusion with the exact sizes) the size of the intersection.
 When both sketches hold fewer than k values they encode their sets' hashes
 completely and every estimate is exact: one intersection of the two sketches'
 value sets counts the shared values, and the union and intersection follow
-from that count.
+from that count.  When one is full, the k-th smallest value of the two
+together is read by a merge of their sorted values from the top down, which
+reads only the other sketch's values below a full one's largest.
 """
 
 import math
 import statistics
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 _HASH_SPACE = 2.0**64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,8 +84,10 @@ class NeighbourhoodSketch:
     hashing or repr.  ``values`` holds the hash values of ``mins`` as a
     frozenset, so that each comparison of two sketches is one set operation;
     :func:`build_sketch` passes the set it hashed, and a sketch built directly
-    derives it from ``mins``.  ``full`` tells whether the sketch may have
-    discarded hash values; an under-full one is lossless.
+    derives it from ``mins``, which must then be strictly increasing, at most
+    k long and within [0, 2**64), or ``ValueError`` is raised.  ``full`` tells
+    whether the sketch may have discarded hash values; an under-full one is
+    lossless.
     """
 
     mins: tuple[int, ...]
@@ -93,7 +99,16 @@ class NeighbourhoodSketch:
 
     def __post_init__(self):
         if self.values is None:
-            object.__setattr__(self, "values", frozenset(self.mins))
+            # Only a directly built sketch is checked: build_sketch's hold by
+            # construction, and estimate_union relies on all three properties.
+            mins = self.mins
+            if len(mins) > self.k:
+                raise ValueError(f"a sketch of capacity {self.k} holds {len(mins)} values")
+            if any(x >= y for x, y in zip(mins, mins[1:])):
+                raise ValueError("sketch values must be strictly increasing")
+            if mins and not (0 <= mins[0] and mins[-1] <= _MASK):
+                raise ValueError("sketch values must lie in [0, 2**64)")
+            object.__setattr__(self, "values", frozenset(mins))
         object.__setattr__(self, "full", len(self.mins) >= self.k)
 
     def serialize(self) -> bytes:
@@ -149,7 +164,26 @@ def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     _check_compatible(a, b)
     if not a.full and not b.full:
         return float(_distinct_values(a, b))
-    rank_k = (sorted(a.values | b.values)[a.k - 1] + 1) / _HASH_SPACE
+    # r_k is at most the largest value of a full sketch.  Take as a the full
+    # one with the lower largest value: fewer than k of b's values lie below.
+    if not a.full or (b.full and b.mins[-1] < a.mins[-1]):
+        a, b = b, a
+    mins, values = a.mins, a.values
+    below = bisect_left(b.mins, mins[-1])
+    extra = [x for x in islice(b.mins, below) if x not in values]
+    # The union's values up to mins[-1] are a's k and the m = len(extra)
+    # others, so r_k is their (m+1)-th largest: merge down from the top,
+    # dropping m.
+    # Once extra is used up, i is -1 and reads the appended -1, which lies
+    # below every hash value; j stays >= 0 since m < k.
+    i, j = len(extra) - 1, len(mins) - 1
+    extra.append(-1)
+    for _ in range(i + 1):
+        if extra[i] > mins[j]:
+            i -= 1
+        else:
+            j -= 1
+    rank_k = ((extra[i] if extra[i] > mins[j] else mins[j]) + 1) / _HASH_SPACE
     return (a.k - 1) / rank_k
 
 
@@ -200,8 +234,8 @@ def sketch_d_twin_test(
     size_a, size_b = a.exact_size, b.exact_size
     if abs(size_a - size_b) - 2 * adj > d:
         return False
-    if a.full or b.full:
-        common = int(_intersection(a, b) + 0.5)
+    if a.full or b.full:  # _intersection's full branch, inlined likewise
+        common = int(min(max(size_a + size_b - estimate_union(a, b), 0), size_a, size_b) + 0.5)
     else:  # _intersection's under-full branch, inlined for the hot path
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)

@@ -79,15 +79,15 @@ def test_sketch_end_of_round_reads_echoed_own_sketch():
     own, peer = build_sketch({2}, sp), build_sketch({2}, sp)
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Phase1Message(2, 2), 0)
-    state.receive(Phase2Message(((3, 1), (1, 1)), (peer, own)), 1)
-    assert state.own_sketch is own
+    state.receive(Phase2Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
+    assert state.entry_sketches == {3: peer, 1: own} and state.common_count == {3: 1}
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
-    assert state.own_sketch is None
+    assert state.entry_sketches == {}
 
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Phase1Message(2, 2), 0)
-    state.receive(Phase2Message(((3, 1),), (peer,)), 1)
+    state.receive(Phase2Message(((3, 1),), {3: peer}), 1)
     with pytest.raises(ProtocolError, match="echoed"):
         state.end_of_round(1, 1)
 
@@ -135,7 +135,7 @@ def test_message_bits():
     # Sketch mode: each entry adds its sketch, a 16-bit count, 64 bits per
     # live value and a width-bit exact size.  Capacity 4: 2 and 4 live values.
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
-    sketches = (build_sketch({1, 2}, sp), build_sketch(range(9), sp))
+    sketches = {1: build_sketch({1, 2}, sp), 3: build_sketch(range(9), sp)}
     msg = Phase2Message(((1, 2), (3, 9)), sketches)
     assert message_bits(msg, 5) == sum(2 * 5 + 16 + 64 * live + 5 for live in (2, 4))
     with pytest.raises(TypeError):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvtwins import SketchParams
@@ -75,6 +75,25 @@ def test_value_set_holds_the_live_values():
         assert direct == built and hash(direct) == hash(built)
         assert (direct.values, direct.full) == (built.values, built.full)
         assert "values" not in repr(built) and "full" not in repr(built)
+
+
+def test_directly_built_sketch_checks_its_values():
+    # estimate_union reads a full sketch's values as sorted, distinct, at most
+    # k of them and 64-bit; a directly built sketch that breaks one is refused.
+    for mins, k, message in (
+        ((5, 3), 4, "strictly increasing"),
+        ((3, 3), 4, "strictly increasing"),
+        ((1, 2, 3), 2, "capacity 2 holds 3"),
+        ((-1, 4), 4, r"\[0, 2\*\*64\)"),
+        ((4, 2**64), 4, r"\[0, 2\*\*64\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            NeighbourhoodSketch(mins, 9, k, 0)
+    edge = NeighbourhoodSketch((0, 2**64 - 1), 2, 2, 0)
+    assert edge.full and edge.values == {0, 2**64 - 1}
+    # Given its value set, as build_sketch gives it, a sketch is built as before.
+    built = build_sketch(range(50), params(k=8))
+    assert NeighbourhoodSketch(built.mins, 50, 8, 0, values=built.values) == built
 
 
 def test_union_identical_underfull_sets_is_exact():
@@ -267,6 +286,7 @@ _ids = st.one_of(
     st.integers(min_value=0, max_value=1),
     st.integers(min_value=0, max_value=14),
 )
+@example(2, {0, 1}, {1, 2}, 9, 0, 0)  # estimate 1.69: twins only when rounded half up
 @settings(max_examples=300)
 def test_twin_test_is_the_rounded_intersection_rule(k, a_ids, b_ids, seed, adj, d):
     # The size filter and the inlined under-full count decide as the rule
@@ -277,6 +297,67 @@ def test_twin_test_is_the_rounded_intersection_rule(k, a_ids, b_ids, seed, adj, 
     c = int(estimate_intersection(a, b) + 0.5)
     rule = c >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * c <= d
     assert sketch_d_twin_test(a, b, adj, d) == rule
+
+
+def _sorted_union_estimate(a, b):
+    """Reference for estimate_union: the distinct count when both sketches are
+    under-full, else (k-1)/r_k with r_k read from the sorted union of both."""
+    if not a.full and not b.full:
+        return float(len(a.values | b.values))
+    return (a.k - 1) / ((sorted(a.values | b.values)[a.k - 1] + 1) / 2.0**64)
+
+
+def _direct(values, k):
+    """A sketch of raw hash values, truncated to capacity like build_sketch."""
+    mins = tuple(sorted(values)[:k])
+    return NeighbourhoodSketch(mins, len(values), k, 0)
+
+
+_TOP = 2**64 - 1
+# Raw hash values: clustered at both ends of the space, so pairs share values
+# and reach its edges, or anywhere in it.
+_raw = st.one_of(
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=_TOP - 80, max_value=_TOP),
+    st.integers(min_value=0, max_value=_TOP),
+)
+
+
+@st.composite
+def _sketch_pairs(draw):
+    k = draw(st.integers(min_value=2, max_value=30))
+    layout = draw(st.sampled_from(["ids", "overlap", "disjoint", "below", "same"]))
+    if layout == "ids":  # through build_sketch, IDs equal modulo 2**64 included
+        sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=draw(st.integers(0, 2**32)))
+        return build_sketch(draw(st.sets(_ids, max_size=70)), sp), build_sketch(
+            draw(st.sets(_ids, max_size=70)), sp
+        )
+    # Full (at least k values) or under-full, independently for each side.
+    a_vals = draw(st.sets(_raw, min_size=1, max_size=2 * k + 3))
+    b_vals = draw(st.sets(_raw, min_size=1, max_size=2 * k + 3))
+    if layout == "disjoint":  # no shared value
+        a_vals, b_vals = {x & ~1 for x in a_vals}, {x | 1 for x in b_vals}
+    elif layout == "below":  # all of b below all of a: m >= k when both are full
+        a_vals, b_vals = {x | 2**63 for x in a_vals}, {x & (2**63 - 1) for x in b_vals}
+    elif layout == "same":  # m = 0
+        b_vals = set(a_vals)
+    return _direct(a_vals, k), _direct(b_vals, k)
+
+
+@given(_sketch_pairs())
+@example((_direct(range(100, 120), 20), _direct(range(20), 20)))  # m = k, read from a
+@example((_direct(range(40), 20), _direct(range(0, 80, 2), 20)))  # full, m = 0
+@example((_direct(range(1, 41), 20), _direct({0, _TOP}, 20)))  # full against under-full
+@example((_direct({0, _TOP - 1}, 2), _direct({1, _TOP}, 2)))  # k = 2 at both ends
+@settings(max_examples=400)
+def test_union_estimate_is_the_kth_smallest_of_both_sketches(pair):
+    a, b = pair
+    expected = _sorted_union_estimate(a, b)
+    if a.full or b.full:
+        rank = sorted(a.values | b.values)[a.k - 1]
+        assert expected == (a.k - 1) / ((rank + 1) / 2**64)
+    for x, y in ((a, b), (b, a)):
+        assert repr(estimate_union(x, y)) == repr(expected)  # bit for bit
 
 
 def test_full_regime_decisions_mostly_agree():
