@@ -4,8 +4,9 @@ Everything here works directly on neighbour sets of the full graph, with no
 message passing: it exists so the distributed protocol has an independent
 reference to be checked against.  The decider is the plain set test of
 :func:`is_d_twin`; :func:`all_windows` asks it only about the pairs that share
-a neighbour in a round (a pair without one is no twin by definition), so its
-cost follows each round's two-hop reach, not the square of the node count.
+a neighbour in a round (a pair without one is no twin by definition) and whose
+degrees differ by at most d (a wider gap alone rules a pair out), so its cost
+follows each round's two-hop reach, not the square of the node count.
 """
 
 from typing import NamedTuple
@@ -74,13 +75,17 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
     All valid start instants in [0, p) are reported, including overlapping
     starts of longer runs and windows that straddle the period boundary.  The
     output is symmetric: (v, t0) is listed for u iff (u, t0) is listed for v.
+    Each round, :func:`is_d_twin` decides only the pairs that share a
+    neighbour and whose degrees differ by at most d.
     """
     params.validate_for_period(graph.p)
     p, delta, d = graph.p, params.delta, params.d
     flags: dict[tuple[int, int], list[bool]] = {}
     for t in range(p):
+        degree = {v: graph.degree(v, t) for v in graph.active_nodes(t)}
         for u, v in graph.common_neighbour_pairs(t):
-            if is_d_twin(graph, u, v, t, d):
+            # Outside sets: |A' Δ B'| >= ||A'| - |B'|| = |deg u - deg v|, so a wider gap is no twin.
+            if abs(degree[u] - degree[v]) <= d and is_d_twin(graph, u, v, t, d):
                 flags.setdefault((u, v), [False] * p)[t] = True
     result: dict[int, set[TwinWindow]] = {v: set() for v in sorted(graph.nodes)}
     for (u, v), pair_flags in flags.items():

@@ -3,10 +3,11 @@
 Rounds 0..p-1 (phase 1): broadcast own (id, degree) and record the reports
 received from current neighbours.  Rounds p..2p-1 (phase 2): forward the
 report list collected one period earlier; from the forwarded entries, each
-node counts common neighbours per candidate and records the candidates it
-finds to be twins in that round.  A twin verdict that completes a window of
-such rounds emits the window in real time; windows that straddle the period
-boundary are recovered by a circular scan at the end.
+node counts common neighbours per candidate (in sketch mode it keeps each
+candidate's granted sketch instead) and records the candidates it finds to be
+twins in that round.  A twin verdict that completes a window of such rounds
+emits the window in real time; windows that straddle the period boundary are
+recovered by a circular scan at the end.
 """
 
 from dataclasses import dataclass
@@ -72,12 +73,13 @@ class NodeState:
         self.sketch_params = sketch_params
         # Phase-1 reports per round: list of (sender, degree), one per neighbour.
         self.neighbour_reports: list[list[tuple[int, int]]] = [[] for _ in range(p)]
-        # Per-round accumulators, cleared by end_of_round.
-        self.common_count: dict[int, int] = {}
+        # Per-round accumulators, cleared by end_of_round.  common_count holds
+        # exactly this round's candidates: in exact mode each maps to the
+        # number of forwarders naming it, in sketch mode to its granted sketch.
+        self.common_count: dict[int, int] | dict[int, NeighbourhoodSketch] = {}
         self.reported_degree: dict[int, int] = {}
-        # Sketch mode: the granted sketches by entry id, this node's own
-        # included, since every neighbour echoes its entry back.
-        self.entry_sketches: dict[int, NeighbourhoodSketch] = {}
+        # Sketch mode: this node's own sketch, echoed back by every neighbour.
+        self.own_sketch: NeighbourhoodSketch | None = None
         # time index -> ids detected as d-twins at that time: the node's only
         # record of its verdicts, from which every window is read.
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
@@ -104,10 +106,9 @@ class NodeState:
             raise TypeError(f"not a protocol message: {msg!r}")
         counts = self.common_count
         if msg.sketches:
-            self.entry_sketches.update(msg.sketches)
-            for entry_id, _ in msg.entries:
-                counts[entry_id] = counts.get(entry_id, 0) + 1
-            counts.pop(self.node_id, None)  # every neighbour echoes us back; never count ourselves
+            # The verdict reads sketches only, so no forwarder is counted.
+            counts.update(msg.sketches)
+            self.own_sketch = counts.pop(self.node_id, self.own_sketch)
         else:
             degrees = self.reported_degree
             for entry_id, degree in msg.entries:
@@ -133,21 +134,21 @@ class NodeState:
         earlier = self.twins_at[start:t] if start >= 0 else None
 
         reporters = {sender for sender, _ in self.neighbour_reports[t]}
-        own_sketch = self.entry_sketches.get(self.node_id)
+        own_sketch = self.own_sketch
         if self.sketch_params is not None and counts and own_sketch is None:
             raise ProtocolError(
                 f"round {round_no}: candidates named but no neighbour echoed this node's sketch"
             )
 
         detected = self.twins_at[t]
-        for twin_id, count in counts.items():
+        for twin_id, value in counts.items():
             # The raw degrees overcount by one each when the pair is adjacent;
             # adjacency is visible in the phase-1 history.
             adj = 1 if twin_id in reporters else 0
             if own_sketch is not None:
-                ok = sketch_d_twin_test(own_sketch, self.entry_sketches[twin_id], adj, self.d)
+                ok = sketch_d_twin_test(own_sketch, value, adj, self.d)
             else:
-                difference = (degree - adj) + (self.reported_degree[twin_id] - adj) - 2 * count
+                difference = (degree - adj) + (self.reported_degree[twin_id] - adj) - 2 * value
                 if self.trace is not None:
                     self.trace[(t, twin_id)] = difference
                 ok = difference <= self.d
@@ -158,7 +159,7 @@ class NodeState:
 
         self.common_count = {}
         self.reported_degree = {}
-        self.entry_sketches = {}
+        self.own_sketch = None
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -256,3 +257,30 @@ def test_gen_infeasible_plant(capsys):
     )
     assert code == 2
     assert "common neighbour" in err
+
+
+# Stdout SHA-256 of each document on one generated instance (30 nodes, p=4,
+# maximum degree 7, 26 windows).  A change meant only for speed must leave
+# every hash as it is.  At k=4 the sketch compare has full sketches,
+# mismatches and exit code 3.
+GOLDEN = [
+    (("run", "--stats"), 0, "750e3d73d03d5814ff149a6beaa35168e4fbae8b8f55403b84df7fc30a073a9b"),
+    (("run", "--stats", "--mode", "sketch"), 0,
+     "e5179212a30ecb9d3c86c667651a7fdefcf7b1bcfb19afc1d51ba3837d8d3555"),
+    (("oracle", "--stats"), 0, "dcf725f55fd9465b9202dc2cef79d48b2a619e078f09a5504b8b6467e0c98418"),
+    (("compare", "--mode", "sketch", "--k", "4"), 3,
+     "f47b7e1517c8e40c9f86fa8bfc2e894631804e680d72aa9631e30ac165cc1e54"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, exit_code, digest", GOLDEN, ids=["run", "run-sketch", "oracle", "compare-k4"]
+)
+def test_documents_match_golden_hashes(capsys, tmp_path, command, exit_code, digest):
+    path = tmp_path / "golden.tel"
+    argv = ["gen", "--n", "30", "--p", "4", "--prob", "0.08", "--seed", "4", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *command, "--input", str(path), "--delta", "2", "--d", "3")
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

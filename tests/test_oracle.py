@@ -218,11 +218,21 @@ def _count_decisions(monkeypatch) -> list:
 
 
 def test_all_windows_decides_only_pairs_with_common_neighbour(monkeypatch):
+    # ... and a degree gap of at most d: a wider gap alone rules a pair out.
     calls = _count_decisions(monkeypatch)
     g = generate_random(25, 4, 0.1, seed=3)
     all_windows(g, ProblemParams(2, 1))
-    wedge_pairs = sum(len(_pairs_with_common_neighbour(g, t)) for t in range(g.p))
-    assert 0 < len(calls) == wedge_pairs < g.p * 25 * 24 // 2
+    wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
+    near = [(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1]
+    assert sorted((t, u, v) for _, u, v, t, _ in calls) == near
+    assert 0 < len(near) < len(wedges) < g.p * 25 * 24 // 2
+
+
+def test_all_windows_reports_a_twin_whose_degree_gap_is_d():
+    # Outside sets {2} and {2, 3, 4}: degrees 1 and 3, difference 2.
+    g = TemporalGraph(p=1, nodes=range(5), edges_at={0: {(0, 2), (1, 2), (1, 3), (1, 4)}})
+    assert TwinWindow(1, 0) in all_windows(g, ProblemParams(1, 2))[0]
+    assert TwinWindow(1, 0) not in all_windows(g, ProblemParams(1, 1))[0]
 
 
 def test_all_windows_one_wedge_in_a_large_graph(monkeypatch):

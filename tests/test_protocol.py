@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvtwins import ProblemParams, RunConfig, Simulation, SketchParams, TwinWindow, all_windows, run
+from tvtwins import (
+    ProblemParams,
+    RunConfig,
+    Simulation,
+    SketchParams,
+    TwinWindow,
+    all_windows,
+    generate_random,
+    run,
+)
 from tvtwins.oracle import pair_profile
 from tvtwins.protocol import NodeState, Phase1Message, Phase2Message, ProtocolError, message_bits
 from tvtwins.sketch import build_sketch
@@ -80,16 +89,38 @@ def test_sketch_end_of_round_reads_echoed_own_sketch():
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Phase1Message(2, 2), 0)
     state.receive(Phase2Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
-    assert state.entry_sketches == {3: peer, 1: own} and state.common_count == {3: 1}
+    assert state.own_sketch is own and state.common_count == {3: peer}
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
-    assert state.entry_sketches == {}
+    assert state.own_sketch is None and state.common_count == {}
 
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Phase1Message(2, 2), 0)
     state.receive(Phase2Message(((3, 1),), {3: peer}), 1)
     with pytest.raises(ProtocolError, match="echoed"):
         state.end_of_round(1, 1)
+
+
+def test_sketch_candidates_equal_exact_candidates(monkeypatch):
+    # common_count holds exactly the round's candidates in both modes, with
+    # full and under-full sketches alike (perfbench counts candidates by it).
+    g = generate_random(30, 4, 0.3, seed=2)
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
+    fullness = {build_sketch(g.neighbours(v, t), sp).full for t in range(g.p) for v in g.active_nodes(t)}
+    assert fullness == {False, True}
+    seen = {"exact": {}, "sketch": {}}
+    evaluate = NodeState.end_of_round
+
+    def record(state, round_no, degree):
+        mode = "exact" if state.sketch_params is None else "sketch"
+        seen[mode][state.node_id, round_no] = set(state.common_count)
+        evaluate(state, round_no, degree)
+
+    monkeypatch.setattr(NodeState, "end_of_round", record)
+    run(g, RunConfig(params=ProblemParams(2, 1)))
+    run(g, RunConfig(params=ProblemParams(2, 1), mode="sketch", sketch_params=sp))
+    assert seen["sketch"] == seen["exact"]
+    assert sum(map(len, seen["exact"].values())) > 1000
 
 
 def test_run_broken_when_candidate_unnamed():
