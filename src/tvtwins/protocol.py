@@ -11,6 +11,7 @@ recovered by a circular scan at the end.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .graph import TwinWindow, window_starts
 # build_sketch is not called here (a node takes its own sketch from its echoed
@@ -44,8 +45,10 @@ def message_bits(msg, width: int) -> int:
     if isinstance(msg, Phase2Message):
         bits = len(msg.entries) * 2 * width
         if msg.sketches:
-            for sk in msg.sketches.values():
-                bits += sk.bit_size(width)
+            # The sum of every sketch's bit_size, in closed form.
+            sketches = msg.sketches.values()
+            live = sum(map(len, map(attrgetter("mins"), sketches)))
+            bits += len(sketches) * (16 + width) + 64 * live
         return bits
     raise TypeError(f"not a protocol message: {msg!r}")
 
@@ -141,17 +144,25 @@ class NodeState:
             )
 
         detected = self.twins_at[t]
+        d = self.d
+        own_size = own_sketch.exact_size if own_sketch is not None else 0
         for twin_id, value in counts.items():
             # The raw degrees overcount by one each when the pair is adjacent;
             # adjacency is visible in the phase-1 history.
             adj = 1 if twin_id in reporters else 0
             if own_sketch is not None:
-                ok = sketch_d_twin_test(own_sketch, value, adj, self.d)
+                # Size filter: the twin test's common count is at most the
+                # smaller size, so its difference is at least the size gap
+                # less 2*adj; a pair with a larger gap is no twin, and no
+                # sketch values need comparing.
+                ok = abs(own_size - value.exact_size) - 2 * adj <= d and sketch_d_twin_test(
+                    own_sketch, value, adj, d
+                )
             else:
                 difference = (degree - adj) + (self.reported_degree[twin_id] - adj) - 2 * value
                 if self.trace is not None:
                     self.trace[(t, twin_id)] = difference
-                ok = difference <= self.d
+                ok = difference <= d
             if ok:
                 detected.add(twin_id)
                 if earlier is not None and all(twin_id in twins for twins in earlier):

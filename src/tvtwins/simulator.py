@@ -12,9 +12,10 @@ from typing import NamedTuple
 from . import oracle
 from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width, window_starts
 from .protocol import NodeState, Phase2Message, message_bits
-# sketch_d_twin_test is not called here (the audit reads the nodes' recorded
-# verdicts); it stays bound because perfbench's tracer wraps it here.
-from .sketch import SketchParams, build_sketch, sketch_d_twin_test
+# build_sketch and sketch_d_twin_test are not called here (the engine builds
+# each round's sketches together, the audit reads the nodes' recorded
+# verdicts); they stay bound because perfbench's tracer wraps them here.
+from .sketch import SketchParams, build_sketch, build_sketches, sketch_d_twin_test
 
 MODES = ("exact", "sketch")
 
@@ -109,7 +110,9 @@ class Simulation:
             # t need one: an entry names a neighbour of its forwarder, and the
             # audit reads only pairs with a common neighbour.
             self._sketches = [
-                {v: build_sketch(ns, sp) for v in self.states if (ns := graph.neighbours(v, t))}
+                build_sketches(
+                    {v: ns for v in self.states if (ns := graph.neighbours(v, t))}, sp
+                )
                 for t in range(p)
             ]
         self.round = 0

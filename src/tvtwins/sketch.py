@@ -10,6 +10,12 @@ value sets counts the shared values, and the union and intersection follow
 from that count.  When one is full, the k-th smallest value of the two
 together is read by a merge of their sorted values from the top down, which
 reads only the other sketch's values below a full one's largest.
+
+:func:`build_sketches` sketches a whole table of sets, such as a round's
+neighbourhoods, and hashes each distinct ID once for all of them;
+:func:`build_sketch` is its one-set case.  :func:`sketch_d_twin_test` decides
+a pair from two sketches and leaves the size filter, which needs only the
+exact sizes, to its caller.
 """
 
 import math
@@ -83,7 +89,7 @@ class NeighbourhoodSketch:
     Two more fields are set once per sketch and take no part in equality,
     hashing or repr.  ``values`` holds the hash values of ``mins`` as a
     frozenset, so that each comparison of two sketches is one set operation;
-    :func:`build_sketch` passes the set it hashed, and a sketch built directly
+    :func:`build_sketches` passes the set it hashed, and a sketch built directly
     derives it from ``mins``, which must then be strictly increasing, at most
     k long and within [0, 2**64), or ``ValueError`` is raised.  ``full`` tells
     whether the sketch may have discarded hash values; an under-full one is
@@ -99,7 +105,7 @@ class NeighbourhoodSketch:
 
     def __post_init__(self):
         if self.values is None:
-            # Only a directly built sketch is checked: build_sketch's hold by
+            # Only a directly built sketch is checked: build_sketches' hold by
             # construction, and estimate_union relies on all three properties.
             mins = self.mins
             if len(mins) > self.k:
@@ -127,17 +133,29 @@ class NeighbourhoodSketch:
         return 16 + 64 * len(self.mins) + width
 
 
+def build_sketches(table, params: SketchParams) -> dict:
+    """Sketch every ID set of ``table``, a mapping from keys to sets; the
+    result maps the same keys to the sketches.  Each distinct ID is hashed
+    once, however many of the sets hold it."""
+    base = _mix64(params.hash_seed & _MASK)
+    hash_of = {i: _mix64(i ^ base) for i in set().union(*table.values())}.__getitem__
+    k, hash_seed = params.k, params.hash_seed
+    sketches = {}
+    for key, ids in table.items():
+        # A frozenset copied from a set is sized to fit, unlike one grown from
+        # a sequence: for 20 values 64 slots against 128.
+        values = frozenset({*map(hash_of, ids)})
+        mins = sorted(values)
+        if len(mins) > k:
+            del mins[k:]
+            values = frozenset(mins)
+        sketches[key] = NeighbourhoodSketch(tuple(mins), len(ids), k, hash_seed, values)
+    return sketches
+
+
 def build_sketch(ids, params: SketchParams) -> NeighbourhoodSketch:
     """Sketch a set of node IDs; deterministic given the IDs and the hash seed."""
-    base = _mix64(params.hash_seed & _MASK)
-    # A frozenset copied from a set is sized to fit, unlike one grown from a
-    # sequence: for 20 values 64 slots against 128.
-    values = frozenset({_mix64(i ^ base) for i in ids})
-    mins = sorted(values)
-    if len(mins) > params.k:
-        del mins[params.k :]
-        values = frozenset(mins)
-    return NeighbourhoodSketch(tuple(mins), len(ids), params.k, params.hash_seed, values)
+    return build_sketches({None: ids}, params)[None]
 
 
 def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
@@ -225,18 +243,16 @@ def sketch_d_twin_test(
     The intersection is that of :func:`estimate_intersection`, which never
     exceeds min(|A|, |B|); so the difference is at least
     abs(|A| - |B|) - 2*adj, and a pair whose sizes alone put it above d is
-    rejected before any value is compared: the size filter of exact
-    set-similarity joins, which changes no decision.
+    no twin.  That is the size filter of exact set-similarity joins; the
+    caller applies it before calling, and it changes no decision.
     """
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
-    _check_compatible(a, b)
     size_a, size_b = a.exact_size, b.exact_size
-    if abs(size_a - size_b) - 2 * adj > d:
-        return False
-    if a.full or b.full:  # _intersection's full branch, inlined likewise
+    if a.full or b.full:  # _intersection's full branch; estimate_union checks compatibility
         common = int(min(max(size_a + size_b - estimate_union(a, b), 0), size_a, size_b) + 0.5)
     else:  # _intersection's under-full branch, inlined for the hot path
+        _check_compatible(a, b)
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)
     if common < 1:

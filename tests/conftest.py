@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tvtwins import ProblemParams, TemporalGraph, TwinWindow, generate_random, parse_tel
-from tvtwins.graph import window_starts
+from tvtwins.graph import PlantInfeasibleError, TwinPlant, window_starts
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -58,6 +58,40 @@ def temporal_graphs(draw, max_n: int = 9, max_p: int = 4):
     prob = draw(st.sampled_from([0.0, 0.15, 0.35, 0.6, 1.0]))
     seed = draw(st.integers(min_value=0, max_value=2**32))
     return generate_random(n, p, prob, seed=seed)
+
+
+@st.composite
+def structured_graphs(draw, max_n: int = 9, max_p: int = 4):
+    """A graph and a tolerance d.  Each round is a star, a complete graph, a
+    complete bipartite K_{a,b}, a random round with a planted pair whose
+    difference is at most d, or empty.  Many pairs there are twins or have
+    neighbourhoods of equal size, unlike in sparse random rounds."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    d = draw(st.integers(min_value=0, max_value=2) | st.just(n))  # n: above every degree
+    edges_at = {}
+    for t in range(p):
+        kind = draw(st.sampled_from(["star", "complete", "bipartite", "plant", "empty"]))
+        order = draw(st.permutations(range(n)))
+        m = draw(st.integers(min_value=2, max_value=n))
+        if kind == "star":
+            edges = {(order[0], w) for w in order[1:m]}
+        elif kind == "complete":
+            edges = {(u, w) for i, u in enumerate(order[:m]) for w in order[i + 1 : m]}
+        elif kind == "bipartite":
+            a = draw(st.integers(min_value=1, max_value=m - 1))
+            edges = {(u, w) for u in order[:a] for w in order[a:m]}
+        elif kind == "plant":
+            plant = TwinPlant(order[0], order[1], 0, 1, draw(st.integers(0, min(d, n - 3))))
+            prob, seed = draw(st.sampled_from([0.0, 0.3, 0.6])), draw(st.integers(0, 2**16))
+            try:
+                edges = generate_random(n, 1, prob, plant, seed).edges(0)
+            except PlantInfeasibleError:  # a plant on an empty round always fits
+                edges = generate_random(n, 1, 0.0, plant).edges(0)
+        else:
+            edges = set()
+        edges_at[t] = edges
+    return TemporalGraph(p, range(n), edges_at, n=n), d
 
 
 def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvtwins import protocol
 from tvtwins import (
     ProblemParams,
     RunConfig,
@@ -101,6 +102,38 @@ def test_sketch_end_of_round_reads_echoed_own_sketch():
         state.end_of_round(1, 1)
 
 
+@pytest.mark.parametrize(
+    "own_ids, peer_ids, tested, twin",
+    [
+        # Not adjacent, size gap exactly d: tested, and a twin.
+        ({2}, {2, 3, 4}, [(0, 2)], True),
+        # Adjacent (1 reports to 0), size gap d + 2: adjacency may lower the
+        # difference by 2, so the pair is still tested.
+        ({1, 2}, {0, 2, 3, 4, 5, 6}, [(1, 2)], False),
+        # Not adjacent, size gap d + 1: the sizes decide, with no test.
+        ({2}, {2, 3, 4, 5}, [], False),
+    ],
+)
+def test_sketch_size_filter_boundary(monkeypatch, own_ids, peer_ids, tested, twin):
+    # Node 0 hears candidate 1 from forwarder 2 at d = 2; the node rejects
+    # the pair without calling the twin test only when the size gap less
+    # 2*adj exceeds d.
+    calls = []
+    twin_test = protocol.sketch_d_twin_test
+    monkeypatch.setattr(
+        protocol, "sketch_d_twin_test", lambda *a: calls.append(a[2:]) or twin_test(*a)
+    )
+    sp = SketchParams(k=8, epsilon=0.2, nu=0.1)
+    state = NodeState(0, p=1, delta=1, d=2, sketch_params=sp)
+    for sender in sorted(own_ids):
+        state.receive(Phase1Message(sender, 1), 0)
+    sketches = {1: build_sketch(peer_ids, sp), 0: build_sketch(own_ids, sp)}
+    state.receive(Phase2Message(((1, len(peer_ids)), (0, len(own_ids))), sketches), 1)
+    state.end_of_round(1, len(own_ids))
+    assert calls == tested
+    assert (state.twins_at[0] == {1}) is twin
+
+
 def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     # common_count holds exactly the round's candidates in both modes, with
     # full and under-full sketches alike (perfbench counts candidates by it).
@@ -169,6 +202,7 @@ def test_message_bits():
     sketches = {1: build_sketch({1, 2}, sp), 3: build_sketch(range(9), sp)}
     msg = Phase2Message(((1, 2), (3, 9)), sketches)
     assert message_bits(msg, 5) == sum(2 * 5 + 16 + 64 * live + 5 for live in (2, 4))
+    assert message_bits(msg, 5) == 2 * 2 * 5 + sum(sk.bit_size(5) for sk in sketches.values())
     with pytest.raises(TypeError):
         message_bits(object(), 5)
 

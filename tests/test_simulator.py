@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvtwins import oracle, protocol, simulator
+from tvtwins import oracle, protocol, simulator, sketch
 from tvtwins import (
     ProblemParams,
     RunConfig,
@@ -21,7 +21,7 @@ from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width
 from tvtwins.sketch import build_sketch, sketch_d_twin_test
 
-from .conftest import path_graph, temporal_graphs
+from .conftest import all_pairs_windows, path_graph, structured_graphs, temporal_graphs
 
 
 def test_round_count_is_twice_the_period(wrap_graph):
@@ -98,21 +98,35 @@ def test_sketch_lossless_regime_matches_exact():
 
 
 def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
-    # The audit reuses the run's verdicts: one engine build per node and round
-    # in which the node has an edge.  Node 12 has none in any round.  A node
-    # builds no sketch: it reads its own from the entry its neighbours echo.
-    calls, own = [], []
-    build = simulator.build_sketch
-    monkeypatch.setattr(simulator, "build_sketch", lambda *a: calls.append(a) or build(*a))
-    monkeypatch.setattr(protocol, "build_sketch", lambda *a: own.append(a) or build(*a))
+    # The audit reuses the run's verdicts: the engine sketches each round's
+    # neighbour table once, one sketch per node with an edge in that round,
+    # and hashes each ID at most once per round.  Node 12 has no edge in any
+    # round.  A node builds no sketch: it reads its own from the entry its
+    # neighbours echo.
+    rounds, hashed, own = [], [], []
+    build, mix = simulator.build_sketches, sketch._mix64
+
+    def counted_build(table, sp):
+        hashed.clear()
+        sketches = build(table, sp)
+        rounds.append((set(sketches), list(hashed)))
+        return sketches
+
+    monkeypatch.setattr(simulator, "build_sketches", counted_build)
+    monkeypatch.setattr(sketch, "_mix64", lambda x: hashed.append(x) or mix(x))
+    monkeypatch.setattr(protocol, "build_sketch", lambda *a: own.append(a))
     base = generate_random(12, 3, 0.5, seed=9)
     g = TemporalGraph(base.p, base.nodes | {12}, {t: base.edges(t) for t in range(base.p)})
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
     report = compare_with_oracle(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
     assert report.decisions > 0
-    with_edge = sum(1 for t in range(g.p) for v in g.nodes if g.degree(v, t))
-    assert with_edge < g.n * g.p
-    assert len(calls) == with_edge
+    assert len(rounds) == g.p
+    for t, (sketched, words) in enumerate(rounds):
+        with_edge = {v for v in g.nodes if g.degree(v, t)}
+        assert sketched == with_edge
+        # One hashed word per node with an edge (only such a node is anyone's
+        # neighbour), and one for the hash seed.
+        assert len(words) == len(set(words)) == len(with_edge) + 1
     assert own == []
 
 
@@ -215,6 +229,36 @@ def test_relabelling_nodes_permutes_every_window(g, d, data):
             perm[v]: {TwinWindow(perm[w.peer], w.start) for w in windows}
             for v, windows in before.items()
         }
+
+
+@given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_reversing_rounds_reverses_every_window(g, d, data):
+    # Metamorphic: round t of the reversed graph is round p - 1 - t of g, so
+    # the window covering t0 .. t0 + delta - 1 of g starts at p - t0 - delta,
+    # mod p.  The sketch run is taken at a capacity above every degree.
+    params = ProblemParams(data.draw(st.integers(min_value=1, max_value=g.p)), d)
+    reversed_g = TemporalGraph(g.p, g.nodes, {t: g.edges(g.p - 1 - t) for t in range(g.p)}, n=g.n)
+    k = max(2, g.max_degree() + 1)
+    for before, after in zip(_routes(g, params, k), _routes(reversed_g, params, k)):
+        assert after == {
+            v: {TwinWindow(w.peer, (g.p - w.start - params.delta) % g.p) for w in windows}
+            for v, windows in before.items()
+        }
+
+
+@given(structured_graphs())
+@settings(max_examples=60, deadline=None)
+def test_routes_equal_the_definition_on_structured_graphs(case):
+    # Stars, cliques, K_{a,b} and planted pairs: many pairs are twins or have
+    # neighbourhoods of equal size, where the size filter's edge lies.  The
+    # sketch run is taken at a capacity above every degree.
+    g, d = case
+    k = max(2, g.max_degree() + 1)
+    for delta in {1, g.p}:
+        params = ProblemParams(delta, d)
+        expected = all_pairs_windows(g, params)
+        assert _routes(g, params, k) == [expected] * 3
 
 
 def test_sketch_audit_decides_one_wedge_once(monkeypatch):

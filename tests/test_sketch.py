@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvtwins import SketchParams
 from tvtwins.sketch import (
     NeighbourhoodSketch,
     build_sketch,
+    build_sketches,
     calibrated_capacity,
     estimate_intersection,
     estimate_union,
@@ -358,6 +359,46 @@ def test_union_estimate_is_the_kth_smallest_of_both_sketches(pair):
         assert expected == (a.k - 1) / ((rank + 1) / 2**64)
     for x, y in ((a, b), (b, a)):
         assert repr(estimate_union(x, y)) == repr(expected)  # bit for bit
+
+
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=9), st.sets(_ids, max_size=30), max_size=6),
+    st.integers(min_value=2, max_value=12),
+)
+@settings(max_examples=50)
+def test_a_table_of_sets_sketches_each_set_alone(table, k):
+    # Hashing the table's IDs once for all its sets gives each set the sketch
+    # it has alone, shared and colliding IDs included.
+    sp = params(k=k, seed=k)
+    sketches = build_sketches(table, sp)
+    assert list(sketches) == list(table)
+    for key, ids in table.items():
+        alone = build_sketch(ids, sp)
+        assert sketches[key] == alone and sketches[key].values == alone.values == set(alone.mins)
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.sets(_ids, max_size=30),
+    st.sets(_ids, max_size=30),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=5),
+)
+@example(2, {0, 1, 2, 2**64, 1 + 2**64, 2 + 2**64}, {0, 1, 2}, 0, 0)  # full, size 6 from 3 hashes
+@example(8, {0, 1, 2, 2**64, 1 + 2**64, 2 + 2**64}, {0, 1, 2}, 1, 0)  # under-full, likewise
+@settings(max_examples=120)
+def test_twin_test_rejects_every_pair_the_size_filter_rejects(k, a_ids, b_ids, adj, below):
+    # The node rejects a pair whose size gap less 2*adj exceeds d without
+    # calling the twin test; that changes no decision only if the twin test
+    # itself rejects every such pair, full sketches and shared hash values
+    # included.
+    sp = params(k=k)
+    a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
+    excess = abs(len(a_ids) - len(b_ids)) - 2 * adj
+    assume(excess >= 1)
+    d = excess - 1 - below % excess  # every d from 0 to excess - 1
+    assert not sketch_d_twin_test(a, b, adj, d)
+    assert not sketch_d_twin_test(b, a, adj, d)
 
 
 def test_full_regime_decisions_mostly_agree():
