@@ -119,6 +119,8 @@ def _parse_gen_spec(spec: str) -> tuple[int, int, float]:
 
 
 def cmd_compare(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     params = ProblemParams(delta=args.delta, d=args.d)
     if args.gen is not None:
         n, p, prob = _parse_gen_spec(args.gen)

@@ -193,14 +193,23 @@ class TwinWindow(NamedTuple):
     start: int
 
 
-def window_starts(flags: list[bool], delta: int) -> list[int]:
-    """Every start t0 in [0, p) whose ``delta`` flags from t0, taken mod p, all hold.
+def twin_windows(verdicts, p: int, delta: int) -> set[TwinWindow]:
+    """One node's windows, read from its per-round twin verdicts by circular scan.
 
-    ``flags[t]`` is a pair's twin verdict at round t of a period p = len(flags);
-    a window may straddle the period boundary.
+    ``verdicts`` holds (peer, t) for each round t at which the pair passed the
+    twin test, which is also a window of length 1.  (peer, t0) is reported iff
+    the ``delta`` rounds from t0, taken mod p, all have a verdict, so a window
+    may straddle the period boundary.
     """
-    p = len(flags)
-    return [t0 for t0 in range(p) if all(flags[(t0 + j) % p] for j in range(delta))]
+    rounds: dict[int, set[int]] = {}
+    for peer, t in verdicts:
+        rounds.setdefault(peer, set()).add(t)
+    return {
+        TwinWindow(peer, t0)
+        for peer, ts in rounds.items()
+        for t0 in ts
+        if all((t0 + j) % p in ts for j in range(1, delta))
+    }
 
 
 def parse_tel(text: str) -> TemporalGraph:

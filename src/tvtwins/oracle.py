@@ -11,7 +11,7 @@ follows each round's two-hop reach, not the square of the node count.
 
 from typing import NamedTuple
 
-from .graph import ProblemParams, TemporalGraph, TwinWindow, window_starts
+from .graph import ProblemParams, TemporalGraph, TwinWindow, twin_windows
 
 
 class NoCommonNeighbourError(ValueError):
@@ -70,7 +70,7 @@ def prop1_check(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
 
 
 def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:
-    """Every twin window of every node, by circular scan of per-round twin flags.
+    """Every twin window of every node, read from its per-round verdicts by ``twin_windows``.
 
     All valid start instants in [0, p) are reported, including overlapping
     starts of longer runs and windows that straddle the period boundary.  The
@@ -80,16 +80,15 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
     """
     params.validate_for_period(graph.p)
     p, delta, d = graph.p, params.delta, params.d
-    flags: dict[tuple[int, int], list[bool]] = {}
+    verdicts: dict[int, list[tuple[int, int]]] = {}
     for t in range(p):
         degree = {v: graph.degree(v, t) for v in graph.active_nodes(t)}
         for u, v in graph.common_neighbour_pairs(t):
             # Outside sets: |A' Δ B'| >= ||A'| - |B'|| = |deg u - deg v|, so a wider gap is no twin.
             if abs(degree[u] - degree[v]) <= d and is_d_twin(graph, u, v, t, d):
-                flags.setdefault((u, v), [False] * p)[t] = True
-    result: dict[int, set[TwinWindow]] = {v: set() for v in sorted(graph.nodes)}
-    for (u, v), pair_flags in flags.items():
-        for t0 in window_starts(pair_flags, delta):
-            result[u].add(TwinWindow(v, t0))
-            result[v].add(TwinWindow(u, t0))
-    return result
+                verdicts.setdefault(u, []).append((v, t))
+                verdicts.setdefault(v, []).append((u, t))
+    return {
+        v: twin_windows(verdicts[v], p, delta) if v in verdicts else set()
+        for v in sorted(graph.nodes)
+    }

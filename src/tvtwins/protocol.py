@@ -13,7 +13,7 @@ recovered by a circular scan at the end.
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .graph import TwinWindow, window_starts
+from .graph import TwinWindow, twin_windows
 # build_sketch is not called here (a node takes its own sketch from its echoed
 # phase-2 entry); it stays bound because perfbench's tracer wraps it here.
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test
@@ -45,7 +45,7 @@ def message_bits(msg, width: int) -> int:
     if isinstance(msg, Phase2Message):
         bits = len(msg.entries) * 2 * width
         if msg.sketches:
-            # The sum of every sketch's bit_size, in closed form.
+            # Each sketch: a 16-bit count, 64 bits per live value, a width-bit exact size.
             sketches = msg.sketches.values()
             live = sum(map(len, map(attrgetter("mins"), sketches)))
             bits += len(sketches) * (16 + width) + 64 * live
@@ -67,7 +67,6 @@ class NodeState:
         delta: int,
         d: int,
         sketch_params: SketchParams | None = None,
-        trace: bool = False,
     ):
         self.node_id = node_id
         self.p = p
@@ -88,8 +87,6 @@ class NodeState:
         self.twins_at: list[set[int]] = [set() for _ in range(p)]
         # (window, round at which it was emitted), for real-time availability.
         self.realtime_log: list[tuple[TwinWindow, int]] = []
-        # (t, id) -> evaluated difference, populated only when tracing.
-        self.trace: dict[tuple[int, int], int] | None = {} if trace else None
         self._evaluated_rounds = 0
 
     def send_message(self, round_no: int, degree: int):
@@ -160,8 +157,6 @@ class NodeState:
                 )
             else:
                 difference = (degree - adj) + (self.reported_degree[twin_id] - adj) - 2 * value
-                if self.trace is not None:
-                    self.trace[(t, twin_id)] = difference
                 ok = difference <= d
             if ok:
                 detected.add(twin_id)
@@ -174,7 +169,7 @@ class NodeState:
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:
-        """Canonical window set after all 2p rounds, by circular scan.
+        """Canonical window set after all 2p rounds, read from ``twins_at`` by ``twin_windows``.
 
         A superset of the real-time detections, which all lie inside the
         period: the scan adds the windows straddling the period boundary.
@@ -183,9 +178,5 @@ class NodeState:
             raise ProtocolError(
                 f"finalize needs all {self.p} evaluation rounds, saw {self._evaluated_rounds}"
             )
-        twins_at = self.twins_at
-        return {
-            TwinWindow(twin_id, t0)
-            for twin_id in set().union(*twins_at)
-            for t0 in window_starts([twin_id in detected for detected in twins_at], self.delta)
-        }
+        verdicts = ((peer, t) for t, twins in enumerate(self.twins_at) for peer in twins)
+        return twin_windows(verdicts, self.p, self.delta)

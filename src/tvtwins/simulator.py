@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import oracle
-from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width, window_starts
+from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width, twin_windows
 from .protocol import NodeState, Phase2Message, message_bits
 # build_sketch and sketch_d_twin_test are not called here (the engine builds
 # each round's sketches together, the audit reads the nodes' recorded
@@ -87,7 +87,7 @@ class RunResult:
 class Simulation:
     """One protocol execution; step() advances a single synchronous round."""
 
-    def __init__(self, graph: TemporalGraph, config: RunConfig, trace_values: bool = False):
+    def __init__(self, graph: TemporalGraph, config: RunConfig):
         config.params.validate_for_period(graph.p)
         self.graph = graph
         self.config = config
@@ -99,7 +99,7 @@ class Simulation:
         # which fixes the order of every node loop.
         with_edge = set().union(*map(graph.active_nodes, range(p)))
         self.states = {
-            v: NodeState(v, p, params.delta, params.d, sketch_params=sp, trace=trace_values)
+            v: NodeState(v, p, params.delta, params.d, sketch_params=sp)
             for v in sorted(with_edge)
         }
         self._sketches = None
@@ -203,7 +203,7 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
 
     The reference is one oracle pass at delta = 1, whose windows are the
     oracle's verdict for every pair and round; the delta windows are read
-    from those verdicts by the same circular scan.
+    from those verdicts by ``twin_windows``, as in the protocol and the oracle.
 
     In sketch mode, additionally audit every per-round decision (each pair
     with at least one common neighbour, as listed by
@@ -215,7 +215,7 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     sim = Simulation(graph, config)
     result = sim.run()
     verdicts = oracle.all_windows(graph, ProblemParams(1, config.params.d))
-    expected = _widen(verdicts, graph.p, config.params.delta)
+    expected = {v: twin_windows(s, graph.p, config.params.delta) for v, s in verdicts.items()}
     differences = {}
     for v in sorted(graph.nodes):
         missing = frozenset(expected[v] - result.windows[v])
@@ -231,21 +231,6 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     if config.mode == "sketch":
         _audit_sketch_decisions(sim, verdicts, report)
     return report
-
-
-def _widen(verdicts: dict[int, set[TwinWindow]], p: int, delta: int) -> dict:
-    """Every node's delta windows, from its windows of length 1."""
-    widened = {}
-    for v, singles in verdicts.items():
-        flags: dict[int, list[bool]] = {}
-        for peer, t in singles:
-            flags.setdefault(peer, [False] * p)[t] = True
-        widened[v] = {
-            TwinWindow(peer, t0)
-            for peer, peer_flags in flags.items()
-            for t0 in window_starts(peer_flags, delta)
-        }
-    return widened
 
 
 def _audit_sketch_decisions(

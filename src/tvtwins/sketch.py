@@ -127,11 +127,6 @@ class NeighbourhoodSketch:
         padded = self.mins + (0,) * (self.k - len(self.mins))
         return struct.pack(f"<H{self.k}QQ", len(self.mins), *padded, self.exact_size)
 
-    def bit_size(self, width: int) -> int:
-        """Logical size for message accounting: 16-bit count, the live 64-bit
-        values, and a width-bit exact size."""
-        return 16 + 64 * len(self.mins) + width
-
 
 def build_sketches(table, params: SketchParams) -> dict:
     """Sketch every ID set of ``table``, a mapping from keys to sets; the
@@ -205,28 +200,21 @@ def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     return (a.k - 1) / rank_k
 
 
-def _intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> int | float:
-    """|A ∩ B| by inclusion-exclusion with the exact set sizes, clamped to
-    the feasible range [0, min(|A|, |B|)].
+def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
+    """Estimate |A ∩ B| by inclusion-exclusion with the exact set sizes,
+    clamped to the feasible range [0, min(|A|, |B|)].
 
-    When both sketches are under-full this is an exact int, never negative:
-    each exact size is at least its sketch's count of values.  The upper
-    clamp still matters there when IDs that are equal modulo 2**64 share a
-    hash value, so that a set's exact size exceeds that count.  Otherwise
-    the union is the float estimate of :func:`estimate_union`.
+    Exact when both sketches are under-full; the upper clamp still matters
+    there when IDs equal modulo 2**64 share a hash value, so that a set's
+    exact size exceeds its sketch's count of values.  Otherwise the union is
+    the estimate of :func:`estimate_union`.
     """
     if a.full or b.full:
         est = max(a.exact_size + b.exact_size - estimate_union(a, b), 0)
     else:
         _check_compatible(a, b)
         est = a.exact_size + b.exact_size - _distinct_values(a, b)
-    return min(est, a.exact_size, b.exact_size)
-
-
-def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
-    """Estimate |A ∩ B| by inclusion-exclusion with the exact set sizes,
-    clamped to the feasible range [0, min(|A|, |B|)]."""
-    return float(_intersection(a, b))
+    return float(min(est, a.exact_size, b.exact_size))
 
 
 def sketch_d_twin_test(
@@ -249,9 +237,9 @@ def sketch_d_twin_test(
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
     size_a, size_b = a.exact_size, b.exact_size
-    if a.full or b.full:  # _intersection's full branch; estimate_union checks compatibility
+    if a.full or b.full:  # as estimate_intersection; estimate_union checks compatibility
         common = int(min(max(size_a + size_b - estimate_union(a, b), 0), size_a, size_b) + 0.5)
-    else:  # _intersection's under-full branch, inlined for the hot path
+    else:  # estimate_intersection's under-full branch, inlined for the hot path
         _check_compatible(a, b)
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)

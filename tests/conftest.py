@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tvtwins import ProblemParams, TemporalGraph, TwinWindow, generate_random, parse_tel
-from tvtwins.graph import PlantInfeasibleError, TwinPlant, window_starts
+from tvtwins.graph import PlantInfeasibleError, TwinPlant
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -100,7 +100,8 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
     outside neighbourhoods that intersect and differ in at most d nodes.
 
     Neighbourhoods are bitmasks here, an arithmetic route apart from the
-    oracle's set algebra."""
+    oracle's set algebra, and windows are read from each pair's flags over two
+    unrolled periods, apart from ``twin_windows``' modular scan."""
     params.validate_for_period(graph.p)
     nodes = sorted(graph.nodes)
     bit = {v: 1 << i for i, v in enumerate(nodes)}
@@ -115,7 +116,9 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
             for mask in masks:
                 a, b = mask[u] & outside, mask[v] & outside
                 flags.append(a & b != 0 and (a ^ b).bit_count() <= params.d)
-            for t0 in window_starts(flags, params.delta):
-                result[u].add(TwinWindow(v, t0))
-                result[v].add(TwinWindow(u, t0))
+            unrolled = flags + flags
+            for t0 in range(graph.p):
+                if all(unrolled[t0 : t0 + params.delta]):
+                    result[u].add(TwinWindow(v, t0))
+                    result[v].add(TwinWindow(u, t0))
     return result

@@ -215,6 +215,19 @@ def test_compare_sketch_beyond_tolerance_exits_3(capsys, tmp_path):
     assert "boundary decisions" in out
 
 
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_compare_rejects_fewer_than_one_trial(capsys, mode):
+    # Zero trials would verify nothing, yet read "0 differences" and exit 0.
+    for trials in ("0", "-2"):
+        code, out, err = run_cli(
+            capsys,
+            "compare", "--gen", "10,3,0.3", "--trials", trials,
+            "--delta", "1", "--d", "0", "--mode", mode,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def test_compare_needs_input_or_gen(capsys):
     code, _, err = run_cli(capsys, "compare", "--delta", "1", "--d", "0")
     assert code == 2

@@ -12,7 +12,7 @@ from tvtwins import (
     parse_tel,
     serialize_tel,
 )
-from tvtwins.graph import PlantInfeasibleError, TwinPlant, id_width, window_starts
+from tvtwins.graph import PlantInfeasibleError, TwinPlant, TwinWindow, id_width, twin_windows
 from tvtwins.oracle import pair_profile
 
 from .conftest import WRAP_TEL, temporal_graphs
@@ -41,7 +41,19 @@ T, F = True, False
     ],
 )
 def test_window_starts(flags, delta, starts):
-    assert window_starts(flags, delta) == starts
+    # flags[t] is one pair's verdict at round t; twin_windows reads them as (peer, t).
+    verdicts = [(9, t) for t, flag in enumerate(flags) if flag]
+    assert twin_windows(verdicts, len(flags), delta) == {TwinWindow(9, t0) for t0 in starts}
+
+
+def test_twin_windows_reads_each_peer_apart():
+    # Peer 1 holds at rounds 3, 0, 1 and peer 2 at 1, 2: together they cover
+    # every round, yet only peer 1's run is three rounds long.
+    verdicts = [(1, 3), (2, 1), (1, 0), (2, 2), (1, 1), (1, 0)]
+    assert twin_windows(verdicts, 4, 3) == {TwinWindow(1, 3)}
+    assert twin_windows(verdicts, 4, 2) == {TwinWindow(1, 3), TwinWindow(1, 0), TwinWindow(2, 1)}
+    assert twin_windows(iter(verdicts), 4, 1) == set(map(TwinWindow._make, verdicts))
+    assert twin_windows([], 4, 1) == set()
 
 
 def test_parse_wrap_fixture(wrap_graph):

@@ -202,7 +202,6 @@ def test_message_bits():
     sketches = {1: build_sketch({1, 2}, sp), 3: build_sketch(range(9), sp)}
     msg = Phase2Message(((1, 2), (3, 9)), sketches)
     assert message_bits(msg, 5) == sum(2 * 5 + 16 + 64 * live + 5 for live in (2, 4))
-    assert message_bits(msg, 5) == 2 * 2 * 5 + sum(sk.bit_size(5) for sk in sketches.values())
     with pytest.raises(TypeError):
         message_bits(object(), 5)
 
@@ -210,22 +209,27 @@ def test_message_bits():
 @given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=2))
 @settings(max_examples=50, deadline=None)
 def test_evaluated_values_match_reference(g, d):
-    delta = min(2, g.p)
-    sim = Simulation(g, RunConfig(params=ProblemParams(delta, d)), trace_values=True)
-    sim.run()
-    for v, state in sim.states.items():
-        assert state.trace is not None
-        for (t, twin_id), value in state.trace.items():
-            assert value == pair_profile(g, v, twin_id, t).difference
-        # Candidates evaluated at time t are exactly the nodes sharing a neighbour with v.
-        for t in range(g.p):
-            evaluated = {twin_id for (when, twin_id) in state.trace if when == t}
-            with_common = {
-                u
-                for u in g.nodes
-                if u != v and pair_profile(g, v, u, t).common_count >= 1
-            }
-            assert evaluated == with_common
+    # Each evaluation reads, per candidate, the common count and the reported
+    # degree; both must be the reference's, and the candidates at time t
+    # exactly the nodes sharing a neighbour with the evaluating node.
+    sim = Simulation(g, RunConfig(params=ProblemParams(min(2, g.p), d)))
+    evaluated = set()
+    evaluate = NodeState.end_of_round
+
+    def check(state, round_no, degree):
+        v, t = state.node_id, round_no - state.p
+        common = {u: pair_profile(g, v, u, t).common_count for u in g.nodes if u != v}
+        assert state.common_count == {u: c for u, c in common.items() if c >= 1}
+        assert state.reported_degree == {u: g.degree(u, t) for u in state.common_count}
+        evaluated.add((v, t))
+        evaluate(state, round_no, degree)
+
+    NodeState.end_of_round = check
+    try:
+        sim.run()
+    finally:
+        NodeState.end_of_round = evaluate
+    assert evaluated == {(v, t) for v in sim.states for t in range(g.p)}
 
 
 @given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=3))

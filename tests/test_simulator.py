@@ -18,7 +18,7 @@ from tvtwins import (
     run,
 )
 from tvtwins.cli import build_result_document, document_json
-from tvtwins.graph import id_width
+from tvtwins.graph import id_width, twin_windows
 from tvtwins.sketch import build_sketch, sketch_d_twin_test
 
 from .conftest import all_pairs_windows, path_graph, structured_graphs, temporal_graphs
@@ -329,7 +329,8 @@ def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
 def test_widened_round_verdicts_equal_delta_windows(g, d, data):
     delta = data.draw(st.integers(min_value=1, max_value=g.p))
     verdicts = all_windows(g, ProblemParams(1, d))
-    assert simulator._widen(verdicts, g.p, delta) == all_windows(g, ProblemParams(delta, d))
+    widened = {v: twin_windows(singles, g.p, delta) for v, singles in verdicts.items()}
+    assert widened == all_windows(g, ProblemParams(delta, d))
 
 
 def test_sketch_windows_equal_oracle_with_generous_capacity(wrap_graph):

@@ -167,11 +167,6 @@ def test_serialized_size_depends_only_on_capacity():
     assert sizes == {2 + 32 * 8 + 8}
 
 
-def test_bit_size_uses_live_values_only():
-    sk = build_sketch({1, 2, 3}, params(k=32))
-    assert sk.bit_size(10) == 16 + 3 * 64 + 10
-
-
 def test_d_twin_test_underfull_path3():
     a = build_sketch({2}, params())  # N(1) on the 3-path
     b = build_sketch({2}, params())  # N(3)
