@@ -123,6 +123,8 @@ def cmd_compare(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     params = ProblemParams(delta=args.delta, d=args.d)
     if args.gen is not None:
+        if args.input is not None:
+            raise ValueError("compare takes --input or --gen, not both")
         n, p, prob = _parse_gen_spec(args.gen)
         graphs = [
             generate_random(n, p, prob, seed=args.seed + trial)
@@ -131,6 +133,8 @@ def cmd_compare(args) -> int:
     else:
         if args.input is None:
             raise ValueError("compare needs --input or --gen")
+        if args.trials != 1:
+            raise ValueError(f"--trials {args.trials} needs --gen: --input is one instance")
         graphs = [_load_graph(args.input)]
 
     for graph in graphs:
@@ -171,10 +175,12 @@ def _parse_plant_spec(spec: str) -> TwinPlant:
 
 
 def cmd_gen(args) -> int:
+    if args.verify and not args.plant:
+        raise ValueError("--verify needs --plant: there is nothing to verify")
     plant = _parse_plant_spec(args.plant) if args.plant else None
     graph = generate_random(args.n, args.p, args.prob, plant=plant, seed=args.seed)
     _emit(serialize_tel(graph), args.out)
-    if args.verify and plant is not None:
+    if args.verify:
         for i in range(plant.length):
             t = (plant.start + i) % args.p
             profile = oracle.pair_profile(graph, plant.u, plant.v, t)

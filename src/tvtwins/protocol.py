@@ -1,13 +1,14 @@
 """Per-node state machine of the two-phase twin-detection protocol.
 
-Rounds 0..p-1 (phase 1): broadcast own (id, degree) and record the reports
-received from current neighbours.  Rounds p..2p-1 (phase 2): forward the
-report list collected one period earlier; from the forwarded entries, each
-node counts common neighbours per candidate (in sketch mode it keeps each
-candidate's granted sketch instead) and records the candidates it finds to be
-twins in that round.  A twin verdict that completes a window of such rounds
-emits the window in real time; windows that straddle the period boundary are
-recovered by a circular scan at the end.
+Every message is a tuple of (id, degree) entries; the round number picks the
+phase.  Rounds 0..p-1 (phase 1): broadcast the one entry (own id, degree) and
+record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
+entries collected one period earlier; from them, each node counts common
+neighbours per candidate (in sketch mode it keeps each candidate's granted
+sketch instead) and records the candidates it finds to be twins in that round.
+A twin verdict that completes a window of such rounds emits the window in real
+time; windows that straddle the period boundary are recovered by a circular
+scan at the end.
 """
 
 from dataclasses import dataclass
@@ -24,40 +25,31 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Phase1Message:
-    sender: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class Phase2Message:
-    # (id, degree) pairs, forwarded verbatim from the matching phase-1 round.
+class Message:
+    # (id, degree) pairs: the sender's own in phase 1, forwarded ones in phase 2.
     entries: tuple[tuple[int, int], ...]
     # Sketch mode only: entry id -> the sketch of that node's neighbourhood at
     # the matching time, granted by the engine.
     sketches: dict[int, NeighbourhoodSketch] | None = None
 
 
-def message_bits(msg, width: int) -> int:
+def message_bits(msg: Message, width: int) -> int:
     """Logical message size: IDs and degrees are width-bit fields."""
-    if isinstance(msg, Phase1Message):
-        return 2 * width
-    if isinstance(msg, Phase2Message):
-        bits = len(msg.entries) * 2 * width
-        if msg.sketches:
-            # Each sketch: a 16-bit count, 64 bits per live value, a width-bit exact size.
-            sketches = msg.sketches.values()
-            live = sum(map(len, map(attrgetter("mins"), sketches)))
-            bits += len(sketches) * (16 + width) + 64 * live
-        return bits
-    raise TypeError(f"not a protocol message: {msg!r}")
+    bits = len(msg.entries) * 2 * width
+    if msg.sketches:
+        # Each sketch: a 16-bit count, 64 bits per live value, a width-bit exact size.
+        sketches = msg.sketches.values()
+        live = sum(map(len, map(attrgetter("mins"), sketches)))
+        bits += len(sketches) * (16 + width) + 64 * live
+    return bits
 
 
 class NodeState:
     """State owned by one protocol participant.
 
-    The node never learns the graph: it sees only the degree injected by the
-    environment each round and the messages of its current neighbours.
+    The node never learns the graph: it sees only what the environment injects
+    each round (its degree and, in sketch mode, the granted sketch table) and
+    the messages of its current neighbours.
     """
 
     def __init__(
@@ -73,7 +65,7 @@ class NodeState:
         self.delta = delta
         self.d = d
         self.sketch_params = sketch_params
-        # Phase-1 reports per round: list of (sender, degree), one per neighbour.
+        # Phase-1 entries per round: (sender, degree), one per neighbour.
         self.neighbour_reports: list[list[tuple[int, int]]] = [[] for _ in range(p)]
         # Per-round accumulators, cleared by end_of_round.  common_count holds
         # exactly this round's candidates: in exact mode each maps to the
@@ -89,21 +81,22 @@ class NodeState:
         self.realtime_log: list[tuple[TwinWindow, int]] = []
         self._evaluated_rounds = 0
 
-    def send_message(self, round_no: int, degree: int):
-        """Message for this round: own (id, degree) in phase 1, the matching
-        phase-1 report list (verbatim) in phase 2."""
+    def send_message(self, round_no: int, degree: int, granted=None) -> Message:
+        """Message for this round: own (id, degree) in phase 1, the matching phase-1
+        entries (verbatim) in phase 2, each with its ``granted`` sketch in sketch mode."""
         if round_no < self.p:
-            return Phase1Message(self.node_id, degree)
+            return Message(((self.node_id, degree),))
         if round_no < 2 * self.p:
-            return Phase2Message(tuple(self.neighbour_reports[round_no - self.p]))
+            entries = tuple(self.neighbour_reports[round_no - self.p])
+            if granted is None:
+                return Message(entries)
+            return Message(entries, {i: granted[i] for i, _ in entries})
         raise ProtocolError(f"round {round_no}: protocol terminated after {2 * self.p} rounds")
 
-    def receive(self, msg, round_no: int) -> None:
-        if isinstance(msg, Phase1Message):
-            self.neighbour_reports[round_no].append((msg.sender, msg.degree))
+    def receive(self, msg: Message, round_no: int) -> None:
+        if round_no < self.p:
+            self.neighbour_reports[round_no].extend(msg.entries)
             return
-        if not isinstance(msg, Phase2Message):
-            raise TypeError(f"not a protocol message: {msg!r}")
         counts = self.common_count
         if msg.sketches:
             # The verdict reads sketches only, so no forwarder is counted.

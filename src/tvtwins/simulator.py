@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .graph import ProblemParams, TemporalGraph, TwinWindow, id_width, twin_windows
-from .protocol import NodeState, Phase2Message, message_bits
+from .protocol import NodeState, message_bits
 # build_sketch and sketch_d_twin_test are not called here (the engine builds
 # each round's sketches together, the audit reads the nodes' recorded
 # verdicts); they stay bound because perfbench's tracer wraps them here.
@@ -127,6 +127,7 @@ class Simulation:
         t = round_no % p
         phase2 = round_no >= p
 
+        granted = self._sketches[t] if self._sketches is not None else None
         # Senders go in ascending order, so every receiver hears its senders in
         # ascending order whatever the order of a neighbour set: hence determinism.
         outbox = []
@@ -135,10 +136,7 @@ class Simulation:
             neighbours = graph.neighbours(v, t)
             if not neighbours:
                 continue  # a message would reach nobody, so none is produced
-            msg = state.send_message(round_no, len(neighbours))
-            if phase2 and self._sketches is not None:
-                granted = self._sketches[t]
-                msg = Phase2Message(msg.entries, {i: granted[i] for i, _ in msg.entries})
+            msg = state.send_message(round_no, len(neighbours), granted)
             outbox.append((msg, neighbours))
             bits = message_bits(msg, self.stats.id_width)
             msgs += 1

@@ -234,6 +234,25 @@ def test_compare_needs_input_or_gen(capsys):
     assert "needs --input or --gen" in err
 
 
+def test_compare_rejects_trials_with_input(capsys, wrap_file):
+    # One input file is one instance; --trials counts generated ones.
+    code, out, err = run_cli(
+        capsys, "compare", "--input", wrap_file, "--trials", "5", "--delta", "1", "--d", "0"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --trials 5 needs --gen: --input is one instance\n"
+
+
+def test_compare_rejects_input_with_gen(capsys, tmp_path):
+    # Rejected before either is read, so a missing input file does not matter.
+    code, out, err = run_cli(
+        capsys, "compare", "--input", str(tmp_path / "absent.tel"), "--gen", "10,3,0.3",
+        "--delta", "1", "--d", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: compare takes --input or --gen, not both\n"
+
+
 def test_gen_triangle(capsys):
     code, out, _ = run_cli(capsys, "gen", "--n", "3", "--p", "1", "--prob", "1.0")
     assert code == 0
@@ -262,6 +281,14 @@ def test_gen_plant_verified(capsys, tmp_path):
     assert code == 0
     assert "plant verified" in err
     parse_tel(target.read_text())
+
+
+def test_gen_verify_needs_plant(capsys):
+    code, out, err = run_cli(
+        capsys, "gen", "--n", "10", "--p", "4", "--prob", "0.3", "--seed", "7", "--verify"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --verify needs --plant: there is nothing to verify\n"
 
 
 def test_gen_infeasible_plant(capsys):

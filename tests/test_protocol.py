@@ -14,7 +14,7 @@ from tvtwins import (
     run,
 )
 from tvtwins.oracle import pair_profile
-from tvtwins.protocol import NodeState, Phase1Message, Phase2Message, ProtocolError, message_bits
+from tvtwins.protocol import Message, NodeState, ProtocolError, message_bits
 from tvtwins.sketch import build_sketch
 
 from .conftest import adjacent_twins_graph, path_graph, temporal_graphs
@@ -22,19 +22,19 @@ from .conftest import adjacent_twins_graph, path_graph, temporal_graphs
 
 def test_send_phase1():
     state = NodeState(7, p=2, delta=1, d=0)
-    assert state.send_message(0, 2) == Phase1Message(7, 2)
+    assert state.send_message(0, 2) == Message(((7, 2),))
 
 
 def test_send_phase2_forwards_verbatim():
     state = NodeState(1, p=2, delta=1, d=0)
-    state.receive(Phase1Message(7, 3), 0)
-    state.receive(Phase1Message(9, 1), 0)
-    assert state.send_message(2, 2) == Phase2Message(((7, 3), (9, 1)))
+    state.receive(Message(((7, 3),)), 0)
+    state.receive(Message(((9, 1),)), 0)
+    assert state.send_message(2, 2) == Message(((7, 3), (9, 1)))
 
 
 def test_send_isolated_node_still_produces():
     state = NodeState(4, p=1, delta=1, d=0)
-    assert state.send_message(0, 0) == Phase1Message(4, 0)
+    assert state.send_message(0, 0) == Message(((4, 0),))
 
 
 def test_send_after_termination():
@@ -45,29 +45,29 @@ def test_send_after_termination():
 
 def test_receive_phase1_appends():
     state = NodeState(0, p=4, delta=1, d=0)
-    state.receive(Phase1Message(4, 7), 3)
+    state.receive(Message(((4, 7),)), 3)
     assert state.neighbour_reports[3] == [(4, 7)]
 
 
 def test_receive_phase2_skips_self_entry():
     state = NodeState(1, p=1, delta=1, d=0)
-    state.receive(Phase2Message(((5, 2), (1, 3))), 1)
+    state.receive(Message(((5, 2), (1, 3))), 1)
     assert state.common_count == {5: 1}
     assert state.reported_degree == {5: 2}
 
 
 def test_receive_phase2_counts_forwarders():
     state = NodeState(1, p=1, delta=1, d=0)
-    state.receive(Phase2Message(((5, 2),)), 1)
-    state.receive(Phase2Message(((5, 2),)), 1)
+    state.receive(Message(((5, 2),)), 1)
+    state.receive(Message(((5, 2),)), 1)
     assert state.common_count == {5: 2}
 
 
 def test_end_of_round_emits_window_on_p3():
     # Node 1 on the 3-path: the forwarded table names node 3 once.
     state = NodeState(1, p=1, delta=1, d=0)
-    state.receive(Phase1Message(2, 2), 0)
-    state.receive(Phase2Message(((3, 1), (1, 1))), 1)
+    state.receive(Message(((2, 2),)), 0)
+    state.receive(Message(((3, 1), (1, 1))), 1)
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
     assert state.finalize() == {TwinWindow(3, 0)}
@@ -88,16 +88,16 @@ def test_sketch_end_of_round_reads_echoed_own_sketch():
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     own, peer = build_sketch({2}, sp), build_sketch({2}, sp)
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
-    state.receive(Phase1Message(2, 2), 0)
-    state.receive(Phase2Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
+    state.receive(Message(((2, 2),)), 0)
+    state.receive(Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
     assert state.own_sketch is own and state.common_count == {3: peer}
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
     assert state.own_sketch is None and state.common_count == {}
 
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
-    state.receive(Phase1Message(2, 2), 0)
-    state.receive(Phase2Message(((3, 1),), {3: peer}), 1)
+    state.receive(Message(((2, 2),)), 0)
+    state.receive(Message(((3, 1),), {3: peer}), 1)
     with pytest.raises(ProtocolError, match="echoed"):
         state.end_of_round(1, 1)
 
@@ -126,9 +126,9 @@ def test_sketch_size_filter_boundary(monkeypatch, own_ids, peer_ids, tested, twi
     sp = SketchParams(k=8, epsilon=0.2, nu=0.1)
     state = NodeState(0, p=1, delta=1, d=2, sketch_params=sp)
     for sender in sorted(own_ids):
-        state.receive(Phase1Message(sender, 1), 0)
+        state.receive(Message(((sender, 1),)), 0)
     sketches = {1: build_sketch(peer_ids, sp), 0: build_sketch(own_ids, sp)}
-    state.receive(Phase2Message(((1, len(peer_ids)), (0, len(own_ids))), sketches), 1)
+    state.receive(Message(((1, len(peer_ids)), (0, len(own_ids))), sketches), 1)
     state.end_of_round(1, len(own_ids))
     assert calls == tested
     assert (state.twins_at[0] == {1}) is twin
@@ -160,10 +160,10 @@ def test_run_broken_when_candidate_unnamed():
     # Peer 5 is a twin at t=0 and t=2 but unnamed at t=1, so no window lies
     # inside the period; only the wrapping window from t=2 exists.
     state = NodeState(0, p=3, delta=2, d=0)
-    state.receive(Phase2Message(((5, 1),)), 3)
+    state.receive(Message(((5, 1),)), 3)
     state.end_of_round(3, 1)
     state.end_of_round(4, 1)  # nothing received: no common neighbour anywhere
-    state.receive(Phase2Message(((5, 1),)), 5)
+    state.receive(Message(((5, 1),)), 5)
     state.end_of_round(5, 1)
     assert state.twins_at == [{5}, set(), {5}]
     assert state.realtime_log == []
@@ -194,16 +194,14 @@ def test_finalize_recovers_wrapping_window(wrap_graph):
 
 
 def test_message_bits():
-    assert message_bits(Phase1Message(0, 1), 5) == 10
-    assert message_bits(Phase2Message(((1, 2), (3, 4), (5, 6))), 5) == 30
+    assert message_bits(Message(((0, 1),)), 5) == 10
+    assert message_bits(Message(((1, 2), (3, 4), (5, 6))), 5) == 30
     # Sketch mode: each entry adds its sketch, a 16-bit count, 64 bits per
     # live value and a width-bit exact size.  Capacity 4: 2 and 4 live values.
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     sketches = {1: build_sketch({1, 2}, sp), 3: build_sketch(range(9), sp)}
-    msg = Phase2Message(((1, 2), (3, 9)), sketches)
+    msg = Message(((1, 2), (3, 9)), sketches)
     assert message_bits(msg, 5) == sum(2 * 5 + 16 + 64 * live + 5 for live in (2, 4))
-    with pytest.raises(TypeError):
-        message_bits(object(), 5)
 
 
 @given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=2))

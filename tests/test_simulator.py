@@ -150,6 +150,39 @@ def test_nodes_without_an_edge_send_nothing(monkeypatch, mode):
     assert 12 not in sent and 13 not in sent
 
 
+def test_phase2_messages_carry_each_entry_granted_sketch(monkeypatch):
+    # Sketch mode: every delivered phase-2 message carries exactly one sketch
+    # per entry, the named node's neighbourhood at the matching time, with
+    # full and under-full sketches alike.  Phase-1 and exact-mode messages
+    # carry none.
+    g = generate_random(30, 4, 0.3, seed=2)
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
+    fullness = {
+        build_sketch(g.neighbours(v, t), sp).full for t in range(g.p) for v in g.active_nodes(t)
+    }
+    assert fullness == {False, True}
+    delivered = []
+    receive = protocol.NodeState.receive
+
+    def record(state, msg, round_no):
+        delivered.append((state.sketch_params is not None, round_no, msg))
+        receive(state, msg, round_no)
+
+    monkeypatch.setattr(protocol.NodeState, "receive", record)
+    run(g, RunConfig(ProblemParams(2, 1)))
+    run(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
+    granted = 0
+    for sketched, round_no, msg in delivered:
+        if not sketched or round_no < g.p:
+            assert msg.sketches is None
+            continue
+        assert set(msg.sketches) == {i for i, _ in msg.entries}
+        for i, sketch_i in msg.sketches.items():
+            assert sketch_i == build_sketch(g.neighbours(i, round_no - g.p), sp)
+            granted += 1
+    assert granted > 1000
+
+
 def test_run_memory_follows_edges_not_period():
     # One edge among n=5000 nodes: only its two endpoints get a node state,
     # so p=64 costs about what p=1 does.
