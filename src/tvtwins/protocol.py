@@ -65,8 +65,8 @@ class NodeState:
         self.delta = delta
         self.d = d
         self.sketch_params = sketch_params
-        # Phase-1 entries per round: (sender, degree), one per neighbour.
-        self.neighbour_reports: list[list[tuple[int, int]]] = [[] for _ in range(p)]
+        # Phase-1 entries of each round with an edge: (sender, degree), one per neighbour.
+        self.neighbour_reports: dict[int, list[tuple[int, int]]] = {}
         # Per-round accumulators, cleared by end_of_round.  common_count holds
         # exactly this round's candidates: in exact mode each maps to the
         # number of forwarders naming it, in sketch mode to its granted sketch.
@@ -74,9 +74,9 @@ class NodeState:
         self.reported_degree: dict[int, int] = {}
         # Sketch mode: this node's own sketch, echoed back by every neighbour.
         self.own_sketch: NeighbourhoodSketch | None = None
-        # time index -> ids detected as d-twins at that time: the node's only
-        # record of its verdicts, from which every window is read.
-        self.twins_at: list[set[int]] = [set() for _ in range(p)]
+        # time index -> ids detected as d-twins at that time (one shared empty
+        # set until evaluated): the node's only record of its verdicts.
+        self.twins_at: list[set[int] | frozenset[int]] = [frozenset()] * p
         # (window, round at which it was emitted), for real-time availability.
         self.realtime_log: list[tuple[TwinWindow, int]] = []
         self._evaluated_rounds = 0
@@ -87,7 +87,7 @@ class NodeState:
         if round_no < self.p:
             return Message(((self.node_id, degree),))
         if round_no < 2 * self.p:
-            entries = tuple(self.neighbour_reports[round_no - self.p])
+            entries = tuple(self.neighbour_reports.get(round_no - self.p, ()))
             if granted is None:
                 return Message(entries)
             return Message(entries, {i: granted[i] for i, _ in entries})
@@ -95,7 +95,7 @@ class NodeState:
 
     def receive(self, msg: Message, round_no: int) -> None:
         if round_no < self.p:
-            self.neighbour_reports[round_no].extend(msg.entries)
+            self.neighbour_reports.setdefault(round_no, []).extend(msg.entries)
             return
         counts = self.common_count
         if msg.sketches:
@@ -114,8 +114,8 @@ class NodeState:
         """Evaluate all candidates named this round and record the twins in
         ``twins_at``.
 
-        Runs at the round barrier regardless of how many messages arrived; a
-        candidate named by nobody has no common neighbour and is no twin.
+        Runs at the round barrier of each round in which the node has an edge;
+        a candidate named by nobody has no common neighbour and is no twin.
         """
         if not self.p <= round_no < 2 * self.p:
             raise ProtocolError(f"evaluation only happens in rounds {self.p}..{2 * self.p - 1}")
@@ -126,14 +126,14 @@ class NodeState:
         start = t - self.delta + 1
         earlier = self.twins_at[start:t] if start >= 0 else None
 
-        reporters = {sender for sender, _ in self.neighbour_reports[t]}
+        reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
         own_sketch = self.own_sketch
         if self.sketch_params is not None and counts and own_sketch is None:
             raise ProtocolError(
                 f"round {round_no}: candidates named but no neighbour echoed this node's sketch"
             )
 
-        detected = self.twins_at[t]
+        detected = self.twins_at[t] = set()
         d = self.d
         own_size = own_sketch.exact_size if own_sketch is not None else 0
         for twin_id, value in counts.items():
@@ -167,9 +167,9 @@ class NodeState:
         A superset of the real-time detections, which all lie inside the
         period: the scan adds the windows straddling the period boundary.
         """
-        if self._evaluated_rounds < self.p:
+        if not self._evaluated_rounds or self._evaluated_rounds < len(self.neighbour_reports):
             raise ProtocolError(
-                f"finalize needs all {self.p} evaluation rounds, saw {self._evaluated_rounds}"
+                f"finalize needs every round with an edge evaluated, saw {self._evaluated_rounds}"
             )
         verdicts = ((peer, t) for t, twins in enumerate(self.twins_at) for peer in twins)
         return twin_windows(verdicts, self.p, self.delta)

@@ -1,9 +1,9 @@
 """Deterministic barrier-synchronous engine driving the protocol for 2p rounds.
 
-Each round has three strict phases: every node produces its message from
-pre-round state (with its current true degree injected by the engine), all
-messages are delivered along the current edge set, then every node runs its
-end-of-round evaluation.  Two runs with identical inputs are identical.
+Each round has three strict phases over the nodes with an edge at its time:
+each produces its message from pre-round state (with its current true degree
+injected by the engine), all messages are delivered along the current edge set,
+then in phase 2 each runs its end-of-round evaluation.  Runs are deterministic.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -94,26 +94,24 @@ class Simulation:
         p = graph.p
         sp = config.sketch_params if config.mode == "sketch" else None
         params = config.params
-        # Only a node with an edge in some round sends, hears or decides
-        # anything, so only those get a state.  Keyed in ascending ID order,
-        # which fixes the order of every node loop.
-        with_edge = set().union(*map(graph.active_nodes, range(p)))
+        # Only a node with an edge at t sends, hears or decides anything in
+        # rounds t and p + t: each round walks just those, in ascending ID
+        # order, and only a node with an edge in some round gets a state.
+        self._active = [sorted(graph.active_nodes(t)) for t in range(p)]
         self.states = {
             v: NodeState(v, p, params.delta, params.d, sketch_params=sp)
-            for v in sorted(with_edge)
+            for v in sorted(set().union(*self._active))
         }
         self._sketches = None
         if sp is not None:
             # The engine grants each phase-2 entry the sketch of the named
             # node's neighbourhood at the matching time, the same way it
-            # grants every node its current degree.  Only nodes with an edge at
-            # t need one: an entry names a neighbour of its forwarder, and the
-            # audit reads only pairs with a common neighbour.
+            # grants every node its current degree.  An entry names a neighbour
+            # of its forwarder, and the audit reads only pairs with a common
+            # neighbour, so only the round's active nodes need one.
             self._sketches = [
-                build_sketches(
-                    {v: ns for v in self.states if (ns := graph.neighbours(v, t))}, sp
-                )
-                for t in range(p)
+                build_sketches({v: graph.neighbours(v, t) for v in active}, sp)
+                for t, active in enumerate(self._active)
             ]
         self.round = 0
         self.stats = RoundStats(**graph_digest(graph))
@@ -127,19 +125,18 @@ class Simulation:
         t = round_no % p
         phase2 = round_no >= p
 
+        states = self.states
+        active = self._active[t]
         granted = self._sketches[t] if self._sketches is not None else None
         # Senders go in ascending order, so every receiver hears its senders in
         # ascending order whatever the order of a neighbour set: hence determinism.
         outbox = []
-        msgs = deliveries = total_bits = max_bits = 0
-        for v, state in self.states.items():
+        deliveries = total_bits = max_bits = 0
+        for v in active:
             neighbours = graph.neighbours(v, t)
-            if not neighbours:
-                continue  # a message would reach nobody, so none is produced
-            msg = state.send_message(round_no, len(neighbours), granted)
+            msg = states[v].send_message(round_no, len(neighbours), granted)
             outbox.append((msg, neighbours))
             bits = message_bits(msg, self.stats.id_width)
-            msgs += 1
             deliveries += len(neighbours)
             total_bits += bits
             if bits > max_bits:
@@ -147,32 +144,33 @@ class Simulation:
 
         for msg, neighbours in outbox:
             for w in neighbours:
-                self.states[w].receive(msg, round_no)
+                states[w].receive(msg, round_no)
 
         if phase2:
-            for v, state in self.states.items():
-                state.end_of_round(round_no, graph.degree(v, t))
+            for v in active:
+                states[v].end_of_round(round_no, graph.degree(v, t))
 
-        self.stats.messages += msgs
+        self.stats.messages += len(active)
         self.stats.deliveries += deliveries
         self.stats.total_bits += total_bits
         self.stats.max_message_bits = max(self.stats.max_message_bits, max_bits)
         if phase2:
             self.stats.max_phase2_bits = max(self.stats.max_phase2_bits, max_bits)
         self.stats.per_round.append(
-            RoundRecord(round_no, t, 2 if phase2 else 1, msgs, deliveries, max_bits, total_bits)
+            RoundRecord(
+                round_no, t, 2 if phase2 else 1, len(active), deliveries, max_bits, total_bits
+            )
         )
         self.round += 1
 
     def run(self) -> RunResult:
-        total = 2 * self.graph.p
-        while self.round < total:
+        while self.round < 2 * self.graph.p:
             self.step()
         states = self.states
         windows = {
             v: states[v].finalize() if v in states else set() for v in sorted(self.graph.nodes)
         }
-        return RunResult(windows=windows, stats=self.stats, rounds_executed=total)
+        return RunResult(windows=windows, stats=self.stats, rounds_executed=self.round)
 
 
 def run(graph: TemporalGraph, config: RunConfig) -> RunResult:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tvtwins import ProblemParams, TemporalGraph, TwinWindow, generate_random, parse_tel
-from tvtwins.graph import PlantInfeasibleError, TwinPlant
+from tvtwins.graph import PlantInfeasibleError, TwinPlant, id_width
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -63,15 +63,18 @@ def temporal_graphs(draw, max_n: int = 9, max_p: int = 4):
 @st.composite
 def structured_graphs(draw, max_n: int = 9, max_p: int = 4):
     """A graph and a tolerance d.  Each round is a star, a complete graph, a
-    complete bipartite K_{a,b}, a random round with a planted pair whose
-    difference is at most d, or empty.  Many pairs there are twins or have
-    neighbourhoods of equal size, unlike in sparse random rounds."""
+    complete bipartite K_{a,b}, a path, a cycle, a random round with a planted
+    pair whose difference is at most d, or empty.  Many pairs there are twins
+    or have neighbourhoods of equal size, unlike in sparse random rounds.  The
+    nodes are relabelled into the IDs the declared n admits, [0, 2^W - 1], so
+    some IDs may be n or above and the node set need not be 0..n-1."""
     n = draw(st.integers(min_value=3, max_value=max_n))
     p = draw(st.integers(min_value=1, max_value=max_p))
     d = draw(st.integers(min_value=0, max_value=2) | st.just(n))  # n: above every degree
     edges_at = {}
     for t in range(p):
-        kind = draw(st.sampled_from(["star", "complete", "bipartite", "plant", "empty"]))
+        kinds = ["star", "complete", "bipartite", "path", "cycle", "plant", "empty"]
+        kind = draw(st.sampled_from(kinds))
         order = draw(st.permutations(range(n)))
         m = draw(st.integers(min_value=2, max_value=n))
         if kind == "star":
@@ -81,6 +84,10 @@ def structured_graphs(draw, max_n: int = 9, max_p: int = 4):
         elif kind == "bipartite":
             a = draw(st.integers(min_value=1, max_value=m - 1))
             edges = {(u, w) for u in order[:a] for w in order[a:m]}
+        elif kind in ("path", "cycle"):
+            edges = {(order[i], order[i + 1]) for i in range(m - 1)}
+            if kind == "cycle" and m > 2:
+                edges.add((order[m - 1], order[0]))
         elif kind == "plant":
             plant = TwinPlant(order[0], order[1], 0, 1, draw(st.integers(0, min(d, n - 3))))
             prob, seed = draw(st.sampled_from([0.0, 0.3, 0.6])), draw(st.integers(0, 2**16))
@@ -91,7 +98,9 @@ def structured_graphs(draw, max_n: int = 9, max_p: int = 4):
         else:
             edges = set()
         edges_at[t] = edges
-    return TemporalGraph(p, range(n), edges_at, n=n), d
+    label = draw(st.permutations(range(1 << id_width(n))))[:n]
+    relabelled = {t: {(label[u], label[w]) for u, w in edges} for t, edges in edges_at.items()}
+    return TemporalGraph(p, label, relabelled, n=n), d
 
 
 def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:

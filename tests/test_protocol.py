@@ -176,6 +176,19 @@ def test_finalize_requires_all_rounds():
         state.finalize()
 
 
+def test_finalize_one_round_short_of_the_engine_raises(wrap_graph):
+    # Stepped to round 2p - 1, the evaluation of t = p - 1 is still missing.
+    # Node 0 has an edge then (and in earlier rounds), so its finalize raises;
+    # node 3's only edge is at t = 2, so every round it acts in is evaluated.
+    config = RunConfig(params=ProblemParams(1, 0))
+    sim = Simulation(wrap_graph, config)
+    while sim.round < 2 * wrap_graph.p - 1:
+        sim.step()
+    with pytest.raises(ProtocolError):
+        sim.states[0].finalize()
+    assert sim.states[3].finalize() == run(wrap_graph, config).windows[3]
+
+
 def test_adjacent_twins_need_degree_correction():
     # Raw degrees would give 3 + 3 - 2*2 = 2; the corrected value is 0.
     g = adjacent_twins_graph()
@@ -227,7 +240,8 @@ def test_evaluated_values_match_reference(g, d):
         sim.run()
     finally:
         NodeState.end_of_round = evaluate
-    assert evaluated == {(v, t) for v in sim.states for t in range(g.p)}
+    # Exactly the nodes with an edge at t are evaluated at t.
+    assert evaluated == {(v, t) for t in range(g.p) for v in g.active_nodes(t)}
 
 
 @given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=3))
@@ -241,7 +255,7 @@ def test_protocol_equals_reference(g, d):
         for v, state in sim.states.items():
             # Determinism rests on every receiver hearing its senders in
             # ascending order.
-            for reports in state.neighbour_reports:
+            for reports in state.neighbour_reports.values():
                 senders = [sender for sender, _ in reports]
                 assert senders == sorted(senders)
             # Real-time detections are exactly the non-wrapping subset.

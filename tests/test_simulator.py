@@ -184,18 +184,26 @@ def test_phase2_messages_carry_each_entry_granted_sketch(monkeypatch):
 
 
 def test_run_memory_follows_edges_not_period():
-    # One edge among n=5000 nodes: only its two endpoints get a node state,
-    # so p=64 costs about what p=1 does.
-    def peak(p):
-        graph = parse_tel(f"p={p} n=5000\n0 0 1\n")
+    # One edge among n=5000 nodes: only its two endpoints get a node state.  A
+    # perfect matching at t=0 among n=2000: every node gets a state but acts
+    # only in rounds 0 and p.  Either way p=64 costs about what p=1 does, in
+    # both modes.
+    matching = "".join(f"0 {v} {v + 1}\n" for v in range(0, 2000, 2))
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
+    configs = (RunConfig(ProblemParams(1, 0)), RunConfig(ProblemParams(1, 0), "sketch", sp))
+
+    def peak(p, n, edges, config):
+        graph = parse_tel(f"p={p} n={n}\n{edges}")
         tracemalloc.start()
         try:
-            run(graph, RunConfig(ProblemParams(1, 0)))
+            run(graph, config)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(64) < 2 * peak(1)
+    for n, edges in ((5000, "0 0 1\n"), (2000, matching)):
+        for config in configs:
+            assert peak(64, n, edges, config) < 2 * peak(1, n, edges, config), (n, config.mode)
 
 
 @given(
