@@ -7,7 +7,9 @@ indistinguishable.
 """
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -69,7 +71,7 @@ class TemporalGraph:
                 )
 
         # Per round, neighbour sets of the nodes with an edge: size follows the edges.
-        tables = [{} for _ in range(p)]
+        tables = [defaultdict(set) for _ in range(p)]
         for t, pairs in (edges_at or {}).items():
             if not 0 <= t < p:
                 raise ValueError(f"round index {t} outside [0, {p})")
@@ -79,8 +81,8 @@ class TemporalGraph:
                     raise ValueError(f"self-loop at node {u}")
                 if u not in node_set or v not in node_set:
                     raise ValueError(f"edge ({u}, {v}) has an endpoint outside the node set")
-                table.setdefault(u, set()).add(v)
-                table.setdefault(v, set()).add(u)
+                table[u].add(v)
+                table[v].add(u)
 
         self._p = p
         self._n = n
@@ -215,66 +217,81 @@ def twin_windows(verdicts, p: int, delta: int) -> set[TwinWindow]:
 def parse_tel(text: str) -> TemporalGraph:
     """Parse a Temporal Edge List document.
 
-    Format: '#' comment lines anywhere; the first data line is the header
-    ``p=<int> n=<int>``; every further data line is ``t u v`` meaning edge
-    {u, v} is present at round t.  The node set is the union of the declared
-    range 0..n-1 and all edge endpoints; endpoints beyond n-1 are accepted as
-    long as they fit in the ceil(log2 n)-bit ID width derived from the header.
+    Lines end at LF only; a CR, like any other whitespace, separates tokens,
+    so CRLF text parses too.  A line whose first non-blank character is '#'
+    is a comment, and blank and comment lines may appear anywhere.  The first other line is the header
+    ``p=<int> n=<int>``; every further line is ``t u v`` meaning edge {u, v}
+    is present at round t.  The node set is the union of the declared range
+    0..n-1 and all edge endpoints; endpoints beyond n-1 are accepted as long
+    as they fit in the ceil(log2 n)-bit ID width derived from the header.
+
+    An edge line is checked in this order, and the first failed check is
+    raised as a ``TelParseError`` naming the line: three tokens, all
+    integers, the round in [0, p), both IDs non-negative, no self-loop, both
+    IDs within the width (the first token that is not is named), and no
+    repeat of an edge already given for that round.
     """
-    p = n = None
-    width = 0
-    edges_at: dict[int, set[tuple[int, int]]] = {}
-    endpoints: set[int] = set()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = enumerate(text.split("\n"), start=1)
+    for line_no, line in lines:
         tokens = line.split()
-        if p is None:
-            if (
-                len(tokens) != 2
-                or not tokens[0].startswith("p=")
-                or not tokens[1].startswith("n=")
-            ):
-                raise TelParseError(line_no, f"malformed header {line!r}, expected 'p=<int> n=<int>'")
-            try:
-                p = int(tokens[0][2:])
-                n = int(tokens[1][2:])
-            except ValueError:
-                raise TelParseError(line_no, f"non-integer header value in {line!r}") from None
-            if p < 1:
-                raise TelParseError(line_no, f"period must be positive, got {p}")
-            if n < 1:
-                raise TelParseError(line_no, f"node count must be positive, got {n}")
-            width = id_width(n)
-            continue
-        if len(tokens) != 3:
-            raise TelParseError(line_no, f"expected 't u v', got {line!r}")
-        try:
-            t, u, v = (int(tok) for tok in tokens)
-        except ValueError:
-            raise TelParseError(line_no, f"non-integer token in {line!r}") from None
-        if not 0 <= t < p:
-            raise TelParseError(line_no, f"round {t} outside [0, {p})")
-        if u < 0 or v < 0:
-            raise TelParseError(line_no, "node ids must be non-negative")
-        if u == v:
-            raise TelParseError(line_no, f"self-loop at node {u}")
-        for w in (u, v):
-            if w.bit_length() > width:
-                raise TelParseError(
-                    line_no, f"node id {w} is not representable in {width} bits (n={n})"
-                )
-        u, v = _normalize_edge(u, v)
-        if (u, v) in edges_at.get(t, ()):
-            raise TelParseError(line_no, f"duplicate edge ({u}, {v}) at round {t}")
-        edges_at.setdefault(t, set()).add((u, v))
-        endpoints.update((u, v))
-
-    if p is None:
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
         raise TelParseError(0, "missing header 'p=<int> n=<int>'")
-    return TemporalGraph(p=p, nodes=set(range(n)) | endpoints, edges_at=edges_at, n=n)
+    if len(tokens) != 2 or not tokens[0].startswith("p=") or not tokens[1].startswith("n="):
+        raise TelParseError(
+            line_no, f"malformed header {line.strip()!r}, expected 'p=<int> n=<int>'"
+        )
+    try:
+        p = int(tokens[0][2:])
+        n = int(tokens[1][2:])
+    except ValueError:
+        raise TelParseError(line_no, f"non-integer header value in {line.strip()!r}") from None
+    if p < 1:
+        raise TelParseError(line_no, f"period must be positive, got {p}")
+    if n < 1:
+        raise TelParseError(line_no, f"node count must be positive, got {n}")
+    width = id_width(n)
+    max_id = (1 << width) - 1
+
+    edges_at: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+    for line_no, line in lines:
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        try:
+            t, a, b = map(int, tokens)
+        except ValueError:
+            if len(tokens) != 3:
+                raise TelParseError(line_no, f"expected 't u v', got {line.strip()!r}") from None
+            raise TelParseError(line_no, f"non-integer token in {line.strip()!r}") from None
+        u, v = (a, b) if a < b else (b, a)
+        # With the pair ordered, one chain passes every valid edge; _edge_fault
+        # names the first check that failed.
+        if not (0 <= t < p and 0 <= u < v <= max_id):
+            raise TelParseError(line_no, _edge_fault(t, a, b, p, n, width))
+        edges = edges_at[t]
+        size = len(edges)
+        edges.add((u, v))
+        if len(edges) == size:
+            raise TelParseError(line_no, f"duplicate edge ({u}, {v}) at round {t}")
+
+    nodes = set(range(n))
+    for edges in edges_at.values():
+        nodes.update(chain.from_iterable(edges))
+    return TemporalGraph(p=p, nodes=nodes, edges_at=edges_at, n=n)
+
+
+def _edge_fault(t: int, u: int, v: int, p: int, n: int, width: int) -> str:
+    """Why the edge line ``t u v`` is rejected: the first check it fails."""
+    if not 0 <= t < p:
+        return f"round {t} outside [0, {p})"
+    if u < 0 or v < 0:
+        return "node ids must be non-negative"
+    if u == v:
+        return f"self-loop at node {u}"
+    w = u if u.bit_length() > width else v
+    return f"node id {w} is not representable in {width} bits (n={n})"
 
 
 def serialize_tel(graph: TemporalGraph) -> str:

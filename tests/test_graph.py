@@ -15,7 +15,7 @@ from tvtwins import (
 from tvtwins.graph import PlantInfeasibleError, TwinPlant, TwinWindow, id_width, twin_windows
 from tvtwins.oracle import pair_profile
 
-from .conftest import WRAP_TEL, temporal_graphs
+from .conftest import WRAP_TEL, structured_graphs, temporal_graphs
 
 
 def test_parse_p3(p3):
@@ -70,27 +70,80 @@ def test_parse_tolerates_comments_blank_lines_and_crlf():
     assert g.edges(1) == frozenset()
 
 
+def parse_error(text, label, line_no, reason):
+    """One rejected document; the test id is the text and a short label."""
+    return pytest.param(text, line_no, reason, id=f"{text}-{label}")
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,line_no,reason",
     [
-        ("p=2 n=2\n0 1 1\n", "self-loop"),
-        ("p=2 n=2\n2 0 1\n", "round 2 outside"),
-        ("p=2 n=2\n-1 0 1\n", "round -1 outside"),
-        ("p=1 n=2\n0 0 1\n0 1 0\n", "duplicate edge"),
-        ("p=1 n=2\n0 0 x\n", "non-integer"),
-        ("p=1 n=2\n0 0\n", "expected 't u v'"),
-        ("n=2 p=1\n", "malformed header"),
-        ("p=0 n=2\n", "period must be positive"),
-        ("p=1 n=0\n", "node count must be positive"),
-        ("p=1 n=2\n0 0 2\n", "not representable"),
-        ("p=1 n=2\n0 -1 0\n", "non-negative"),
-        ("", "missing header"),
+        parse_error("p=2 n=2\n0 1 1\n", "self-loop", 2, "self-loop at node 1"),
+        parse_error("p=2 n=2\n2 0 1\n", "round 2 outside", 2, "round 2 outside [0, 2)"),
+        parse_error("p=2 n=2\n-1 0 1\n", "round -1 outside", 2, "round -1 outside [0, 2)"),
+        parse_error(
+            "p=1 n=2\n0 0 1\n0 1 0\n", "duplicate edge", 3, "duplicate edge (0, 1) at round 0"
+        ),
+        parse_error("p=1 n=2\n0 0 x\n", "non-integer", 2, "non-integer token in '0 0 x'"),
+        parse_error("p=1 n=2\n0 0\n", "expected 't u v'", 2, "expected 't u v', got '0 0'"),
+        parse_error(
+            "n=2 p=1\n", "malformed header", 1,
+            "malformed header 'n=2 p=1', expected 'p=<int> n=<int>'",
+        ),
+        parse_error("p=0 n=2\n", "period must be positive", 1, "period must be positive, got 0"),
+        parse_error(
+            "p=1 n=0\n", "node count must be positive", 1, "node count must be positive, got 0"
+        ),
+        parse_error(
+            "p=1 n=2\n0 0 2\n", "not representable", 2,
+            "node id 2 is not representable in 1 bits (n=2)",
+        ),
+        parse_error("p=1 n=2\n0 -1 0\n", "non-negative", 2, "node ids must be non-negative"),
+        parse_error("", "missing header", 0, "missing header 'p=<int> n=<int>'"),
+        parse_error("# only\n\n  \n", "comments only", 0, "missing header 'p=<int> n=<int>'"),
+        parse_error("p=x n=2\n", "non-integer header", 1, "non-integer header value in 'p=x n=2'"),
+        # Two faults on one line: the first check in the documented order wins.
+        parse_error("p=1 n=2\n0 0 x y\n", "count before integers", 2, "expected 't u v', got '0 0 x y'"),
+        parse_error("p=2 n=2\n3 -1 0\n", "round before sign", 2, "round 3 outside [0, 2)"),
+        parse_error("p=1 n=2\n0 -1 -1\n", "sign before self-loop", 2, "node ids must be non-negative"),
+        parse_error("p=1 n=2\n0 5 5\n", "self-loop before width", 2, "self-loop at node 5"),
+        parse_error(
+            "p=1 n=2\n0 4 5\n", "width names the first id", 2,
+            "node id 4 is not representable in 1 bits (n=2)",
+        ),
+        parse_error(
+            "p=1 n=2\n0 5 4\n", "width names the first id, larger", 2,
+            "node id 5 is not representable in 1 bits (n=2)",
+        ),
+        parse_error(
+            "p=1 n=2\n0 0 4\n", "width names the second id", 2,
+            "node id 4 is not representable in 1 bits (n=2)",
+        ),
+        # Layout: indented comments, tabs and CRLF; a message quotes the line stripped.
+        parse_error("p=1 n=2\n   # comment\n0 1 1\n", "indented comment", 3, "self-loop at node 1"),
+        parse_error("p=1\tn=2\n0\t1\t1\n", "tab separators", 2, "self-loop at node 1"),
+        parse_error(
+            "p=1 n=2\r\n0 0 1\r\n 0  1 0 \r\n", "crlf duplicate", 3,
+            "duplicate edge (0, 1) at round 0",
+        ),
+        parse_error("p=1 n=2\r\n\t0 0 \r\n", "crlf quoted stripped", 2, "expected 't u v', got '0 0'"),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, line_no, reason):
     with pytest.raises(TelParseError) as err:
         parse_tel(text)
-    assert fragment in str(err.value)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+    assert str(err.value) == f"line {line_no}: {reason}"
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_end_at_lf_only(sep):
+    # Every other line break of str.splitlines is a blank inside a line.
+    text = f"p=2 n=3\n# page break {sep} here\n0 0 1\n0{sep}1{sep}2\n"
+    assert parse_tel(text).edges(0) == frozenset({(0, 1), (1, 2)})
+    with pytest.raises(TelParseError) as err:
+        parse_tel(text + "1 2 2\n")
+    assert (err.value.line_no, err.value.reason) == (5, "self-loop at node 2")
 
 
 def test_parse_error_reports_line_number():
@@ -220,6 +273,19 @@ def test_round_trip_property(g):
     again = parse_tel(serialize_tel(g))
     assert again == g
     assert hash(again) == hash(g)
+
+
+@given(structured_graphs())
+@settings(max_examples=60)
+def test_round_trip_property_sparse_ids(graph_and_d):
+    # IDs up to 2^W - 1, so endpoints may be n or above and some of 0..n-1
+    # may be absent; parsing adds the declared range, so the graphs differ.
+    g, _ = graph_and_d
+    text = serialize_tel(g)
+    again = parse_tel(text)
+    assert serialize_tel(again) == text
+    assert [again.edges(t) for t in range(g.p)] == [g.edges(t) for t in range(g.p)]
+    assert again.nodes == set(range(g.n)).union(*map(g.active_nodes, range(g.p)))
 
 
 @given(temporal_graphs())
