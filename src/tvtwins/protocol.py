@@ -6,9 +6,9 @@ record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
 entries collected one period earlier; from them, each node counts common
 neighbours per candidate (in sketch mode it keeps each candidate's granted
 sketch instead) and records the candidates it finds to be twins in that round.
-A twin verdict that completes a window of such rounds emits the window in real
-time; windows that straddle the period boundary are recovered by a circular
-scan at the end.
+The verdicts for t are final at round p+t, so a window inside the period is
+known once its last round is evaluated; ``finalize`` reads every window,
+including those that straddle the period boundary, from the verdicts.
 """
 
 from dataclasses import dataclass
@@ -75,10 +75,9 @@ class NodeState:
         # Sketch mode: this node's own sketch, echoed back by every neighbour.
         self.own_sketch: NeighbourhoodSketch | None = None
         # time index -> ids detected as d-twins at that time (one shared empty
-        # set until evaluated): the node's only record of its verdicts.
+        # set until evaluated): the node's only record of its verdicts.  Slot t
+        # is written once, at round p+t, and is final from then on.
         self.twins_at: list[set[int] | frozenset[int]] = [frozenset()] * p
-        # (window, round at which it was emitted), for real-time availability.
-        self.realtime_log: list[tuple[TwinWindow, int]] = []
         self._evaluated_rounds = 0
 
     def send_message(self, round_no: int, degree: int, granted=None) -> Message:
@@ -121,11 +120,6 @@ class NodeState:
             raise ProtocolError(f"evaluation only happens in rounds {self.p}..{2 * self.p - 1}")
         t = round_no - self.p
         counts = self.common_count
-        # A window ending at t starts at t - delta + 1; windows that would start
-        # before round 0 wrap, and only the final scan recovers them.
-        start = t - self.delta + 1
-        earlier = self.twins_at[start:t] if start >= 0 else None
-
         reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
         own_sketch = self.own_sketch
         if self.sketch_params is not None and counts and own_sketch is None:
@@ -153,8 +147,6 @@ class NodeState:
                 ok = difference <= d
             if ok:
                 detected.add(twin_id)
-                if earlier is not None and all(twin_id in twins for twins in earlier):
-                    self.realtime_log.append((TwinWindow(twin_id, start), round_no))
 
         self.common_count = {}
         self.reported_degree = {}
@@ -164,8 +156,9 @@ class NodeState:
     def finalize(self) -> set[TwinWindow]:
         """Canonical window set after all 2p rounds, read from ``twins_at`` by ``twin_windows``.
 
-        A superset of the real-time detections, which all lie inside the
-        period: the scan adds the windows straddling the period boundary.
+        The verdicts for t are final at round p+t, so a window (peer, s) inside
+        the period could be read at round p+s+delta-1; one that straddles the
+        period boundary needs the verdicts of both ends of the period.
         """
         if not self._evaluated_rounds or self._evaluated_rounds < len(self.neighbour_reports):
             raise ProtocolError(

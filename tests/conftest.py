@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import strategies as st
 
-from tvtwins import ProblemParams, TemporalGraph, TwinWindow, generate_random, parse_tel
+from tvtwins import ProblemParams, Simulation, TemporalGraph, TwinWindow, generate_random, parse_tel
 from tvtwins.graph import PlantInfeasibleError, TwinPlant, id_width
+from tvtwins.simulator import RunResult
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -131,3 +132,39 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
                     result[u].add(TwinWindow(v, t0))
                     result[v].add(TwinWindow(u, t0))
     return result
+
+
+def run_with_snapshots(sim: Simulation) -> tuple[RunResult, list[tuple], int]:
+    """Run ``sim`` to the end, copying every node's ``twins_at[t]`` right after
+    round p+t, and check that the verdicts form a write-once record.
+
+    Returns the run's result, its violations and the number of windows inside
+    the period that were checked.  A violation is ``("ahead", v, t)`` when a
+    slot after t already holds a verdict at round p+t, ``("rewritten", v, t)``
+    when slot t at the end differs from its copy, and ``("late", v, window)``
+    when a window (peer, s) inside the period lacks one of its delta verdicts
+    in the copies, so that it was not known at round p+s+delta-1."""
+    p, delta = sim.graph.p, sim.config.params.delta
+    snapshots = {v: [] for v in sim.states}
+    violations = []
+    while sim.round < 2 * p:
+        sim.step()
+        t = sim.round - 1 - p
+        if t < 0:
+            continue
+        for v, state in sim.states.items():
+            snapshots[v].append(set(state.twins_at[t]))
+            if any(state.twins_at[t + 1 :]):
+                violations.append(("ahead", v, t))
+    result = sim.run()
+    checked = 0
+    for v, state in sim.states.items():
+        copies = snapshots[v]
+        violations += [("rewritten", v, t) for t in range(p) if state.twins_at[t] != copies[t]]
+        for window in result.windows[v]:
+            if window.start + delta > p:
+                continue  # straddles the period boundary: read only by finalize
+            checked += 1
+            if any(window.peer not in copy for copy in copies[window.start : window.start + delta]):
+                violations.append(("late", v, window))
+    return result, violations, checked

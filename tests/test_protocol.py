@@ -17,7 +17,7 @@ from tvtwins.oracle import pair_profile
 from tvtwins.protocol import Message, NodeState, ProtocolError, message_bits
 from tvtwins.sketch import build_sketch
 
-from .conftest import adjacent_twins_graph, path_graph, temporal_graphs
+from .conftest import adjacent_twins_graph, path_graph, run_with_snapshots, temporal_graphs
 
 
 def test_send_phase1():
@@ -71,7 +71,6 @@ def test_end_of_round_emits_window_on_p3():
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
     assert state.finalize() == {TwinWindow(3, 0)}
-    assert state.realtime_log == [(TwinWindow(3, 0), 1)]
     assert state.common_count == {}
 
 
@@ -166,7 +165,6 @@ def test_run_broken_when_candidate_unnamed():
     state.receive(Message(((5, 1),)), 5)
     state.end_of_round(5, 1)
     assert state.twins_at == [{5}, set(), {5}]
-    assert state.realtime_log == []
     assert state.finalize() == {TwinWindow(5, 2)}
 
 
@@ -201,9 +199,10 @@ def test_finalize_recovers_wrapping_window(wrap_graph):
     params = ProblemParams(3, 0)
     sim = Simulation(wrap_graph, RunConfig(params=params))
     result = sim.run()
+    # Peer 1 is no twin at t = 2, so its three consecutive verdicts exist only
+    # across the period boundary.
+    assert sim.states[0].twins_at == [{1}, {1}, {3}, {1}]
     assert result.windows[0] == {TwinWindow(1, 3)}
-    # The wrapped start never appears in the real-time log.
-    assert sim.states[0].realtime_log == []
 
 
 def test_message_bits():
@@ -250,7 +249,10 @@ def test_protocol_equals_reference(g, d):
     for delta in {1, g.p}:
         params = ProblemParams(delta, d)
         sim = Simulation(g, RunConfig(params=params))
-        result = sim.run()
+        # Each verdict slot is written once, at round p+t, so every window
+        # inside the period is known by its last round.
+        result, violations, _ = run_with_snapshots(sim)
+        assert violations == []
         assert result.windows == all_windows(g, params)
         for v, state in sim.states.items():
             # Determinism rests on every receiver hearing its senders in
@@ -258,8 +260,3 @@ def test_protocol_equals_reference(g, d):
             for reports in state.neighbour_reports.values():
                 senders = [sender for sender, _ in reports]
                 assert senders == sorted(senders)
-            # Real-time detections are exactly the non-wrapping subset.
-            realtime = {w for w, _ in state.realtime_log}
-            assert realtime <= result.windows[v]
-            for w in result.windows[v] - realtime:
-                assert w.start + delta > g.p

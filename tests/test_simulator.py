@@ -8,6 +8,7 @@ from tvtwins import oracle, protocol, simulator, sketch
 from tvtwins import (
     ProblemParams,
     RunConfig,
+    Simulation,
     SketchParams,
     TemporalGraph,
     TwinWindow,
@@ -21,7 +22,13 @@ from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width, twin_windows
 from tvtwins.sketch import build_sketch, sketch_d_twin_test
 
-from .conftest import all_pairs_windows, path_graph, structured_graphs, temporal_graphs
+from .conftest import (
+    all_pairs_windows,
+    path_graph,
+    run_with_snapshots,
+    structured_graphs,
+    temporal_graphs,
+)
 
 
 def test_round_count_is_twice_the_period(wrap_graph):
@@ -52,6 +59,28 @@ def test_phase2_message_sizes(wrap_graph):
         assert record.max_bits <= result.stats.phase2_bound_bits
         if record.phase == 1:
             assert record.max_bits == 2 * width
+
+
+def test_complete_bipartite_round_meets_the_phase2_bound():
+    # K_{8,12} on sides 0..7 and 8..19 at round 0 only: every same-side pair
+    # shares the whole other side, so it is a 0-twin, and the two have
+    # neighbourhoods of equal size, the sketch size filter's edge.  An a-side
+    # node forwards its 12 entries, so phase 2 meets its bound with equality.
+    # The case shows the limit of short messages: an a-side node hears
+    # 2b = 24 messages in the 2p rounds but must name a - 1 = 7 twins, so a
+    # route of O(log n)-bit messages fails on K_{a,b} once a - 1 outgrows 2b.
+    a_side, b_side = range(8), range(8, 20)
+    g = TemporalGraph(p=3, nodes=range(20), edges_at={0: {(u, w) for u in a_side for w in b_side}})
+    params = ProblemParams(1, 0)
+    result = run(g, RunConfig(params))
+    assert result.stats.max_phase2_bits == result.stats.phase2_bound_bits == 120
+    assert (result.stats.deliveries, result.stats.messages) == (384, 40)
+    for side in (a_side, b_side):
+        for v in side:
+            assert result.windows[v] == {TwinWindow(w, 0) for w in side if w != v}
+    assert result.windows == all_windows(g, params)
+    sp = SketchParams(k=13, epsilon=0.2, nu=0.1, hash_seed=1)
+    assert run(g, RunConfig(params, "sketch", sp)).windows == result.windows
 
 
 def test_config_validation():
@@ -226,13 +255,15 @@ def test_isolated_nodes_change_no_window(g, d, offsets):
 
 
 def _routes(g, params, k):
-    """Windows of all_windows and of the exact and sketch runs (capacity k)."""
+    """Windows of all_windows and of the exact and sketch runs (capacity k).
+    Each run's verdicts must form a write-once record (``run_with_snapshots``)."""
     sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=1)
-    return [
-        all_windows(g, params),
-        run(g, RunConfig(params)).windows,
-        run(g, RunConfig(params, "sketch", sp)).windows,
-    ]
+    windows = [all_windows(g, params)]
+    for config in (RunConfig(params), RunConfig(params, "sketch", sp)):
+        result, violations, _ = run_with_snapshots(Simulation(g, config))
+        assert violations == []
+        windows.append(result.windows)
+    return windows
 
 
 @given(temporal_graphs(max_n=8), st.integers(min_value=0, max_value=2), st.data())
