@@ -183,10 +183,6 @@ class ProblemParams:
         if self.d < 0:
             raise ValueError("d must be non-negative")
 
-    def validate_for_period(self, p: int) -> None:
-        if self.delta > p:
-            raise ValueError(f"delta {self.delta} exceeds period {p}")
-
 
 class TwinWindow(NamedTuple):
     """A detected window: d-twin with ``peer`` for delta consecutive instants from ``start``."""
@@ -201,16 +197,19 @@ def twin_windows(verdicts, p: int, delta: int) -> set[TwinWindow]:
     ``verdicts`` holds (peer, t) for each round t at which the pair passed the
     twin test, which is also a window of length 1.  (peer, t0) is reported iff
     the ``delta`` rounds from t0, taken mod p, all have a verdict, so a window
-    may straddle the period boundary.
+    may straddle the period boundary.  ``delta`` may exceed p: any delta >= p
+    asks for a verdict in every round and yields the windows of delta = p, at
+    no more than p - 1 lookups per verdict.
     """
     rounds: dict[int, set[int]] = {}
     for peer, t in verdicts:
         rounds.setdefault(peer, set()).add(t)
+    later = range(1, min(delta, p))
     return {
         TwinWindow(peer, t0)
         for peer, ts in rounds.items()
         for t0 in ts
-        if all((t0 + j) % p in ts for j in range(1, delta))
+        if all((t0 + j) % p in ts for j in later)
     }
 
 
@@ -385,44 +384,29 @@ def _apply_plant(edges_at, n: int, p: int, plant: TwinPlant) -> None:
 
 def _plant_round(edges: set, n: int, u: int, v: int, want: int) -> None:
     others = [w for w in range(n) if w != u and w != v]
+    side_u = {w for w in others if _normalize_edge(u, w) in edges}
+    side_v = {w for w in others if _normalize_edge(v, w) in edges}
 
-    def add(a, b):
-        edges.add(_normalize_edge(a, b))
+    def add(x, side, w):
+        edges.add(_normalize_edge(x, w))
+        side.add(w)
 
-    def drop(a, b):
-        edges.discard(_normalize_edge(a, b))
+    # Completing a one-sided edge both makes a common neighbour and shrinks the
+    # difference by one; with no edge to complete, the first other node joins both.
+    while not side_u & side_v or len(side_u ^ side_v) > want:
+        w = min(side_u ^ side_v, default=others[0])
+        add(u, side_u, w)
+        add(v, side_v, w)
 
-    def sides():
-        side_u = {w for w in others if _normalize_edge(u, w) in edges}
-        side_v = {w for w in others if _normalize_edge(v, w) in edges}
-        return side_u & side_v, side_u - side_v, side_v - side_u
-
-    common, only_u, only_v = sides()
-    if not common:
-        if only_u or only_v:
-            # Completing an existing one-sided edge both creates the common
-            # neighbour and shrinks the difference by one.
-            w = min(only_u | only_v)
-            add(v if w in only_u else u, w)
+    # Widen the difference: give u an untouched node, or once none is left, take
+    # a common neighbour from v.  want <= n - 3, so a difference below it with no
+    # untouched node leaves at least two common neighbours.
+    untouched = (w for w in others if w not in side_u and w not in side_v)
+    while len(side_u ^ side_v) < want:
+        w = next(untouched, None)
+        if w is None:
+            w = min(side_u & side_v)
+            edges.discard(_normalize_edge(v, w))
+            side_v.discard(w)
         else:
-            w = min(others)
-            add(u, w)
-            add(v, w)
-        common, only_u, only_v = sides()
-
-    while len(only_u) + len(only_v) > want:
-        w = min(only_u | only_v)
-        add(v if w in only_u else u, w)
-        common, only_u, only_v = sides()
-
-    while len(only_u) + len(only_v) < want:
-        untouched = [w for w in others if w not in common and w not in only_u and w not in only_v]
-        if untouched:
-            add(u, min(untouched))
-        elif len(common) >= 2:
-            drop(v, min(common))
-        else:
-            raise PlantInfeasibleError(
-                f"cannot reach difference {want} for ({u}, {v}) with n={n}"
-            )
-        common, only_u, only_v = sides()
+            add(u, side_u, w)

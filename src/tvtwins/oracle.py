@@ -78,7 +78,6 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
     Each round, :func:`is_d_twin` decides only the pairs that share a
     neighbour and whose degrees differ by at most d.
     """
-    params.validate_for_period(graph.p)
     p, delta, d = graph.p, params.delta, params.d
     verdicts: dict[int, list[tuple[int, int]]] = {}
     for t in range(p):

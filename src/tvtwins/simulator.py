@@ -88,7 +88,6 @@ class Simulation:
     """One protocol execution; step() advances a single synchronous round."""
 
     def __init__(self, graph: TemporalGraph, config: RunConfig):
-        config.params.validate_for_period(graph.p)
         self.graph = graph
         self.config = config
         p = graph.p

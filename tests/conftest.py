@@ -112,7 +112,6 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
     Neighbourhoods are bitmasks here, an arithmetic route apart from the
     oracle's set algebra, and windows are read from each pair's flags over two
     unrolled periods, apart from ``twin_windows``' modular scan."""
-    params.validate_for_period(graph.p)
     nodes = sorted(graph.nodes)
     bit = {v: 1 << i for i, v in enumerate(nodes)}
     masks = [
@@ -127,6 +126,8 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
                 a, b = mask[u] & outside, mask[v] & outside
                 flags.append(a & b != 0 and (a ^ b).bit_count() <= params.d)
             unrolled = flags + flags
+            # For delta >= p the slice from t0 < p holds at least p consecutive
+            # flags, so it covers every round: no clamp of delta is needed here.
             for t0 in range(graph.p):
                 if all(unrolled[t0 : t0 + params.delta]):
                     result[u].add(TwinWindow(v, t0))

@@ -58,10 +58,23 @@ def test_run_wrap(capsys, wrap_file):
     assert windows_of(doc, 0) == [{"peer": 1, "start": 3}]
 
 
-def test_run_rejects_delta_beyond_period(capsys, p3_file):
-    code, _, err = run_cli(capsys, "run", "--input", p3_file, "--delta", "2", "--d", "0")
-    assert code == 2
-    assert "delta 2 exceeds period 1" in err
+def test_delta_beyond_period_gives_the_period_windows(capsys, p3_file):
+    # p = 1: delta 2 asks for the one round's verdict, as delta 1 does, so
+    # each output equals the delta 1 one but for params.delta.
+    for command in ("run", "oracle", "compare"):
+        for mode in ("exact", "sketch"):
+            outs = []
+            for delta in ("1", "2"):
+                code, out, err = run_cli(
+                    capsys, command, "--input", p3_file, "--delta", delta, "--d", "0", "--mode", mode
+                )
+                assert (code, err) == (0, "")
+                outs.append(out)
+            if command != "compare":
+                outs = [json.loads(out) for out in outs]
+                assert [doc["params"].pop("delta") for doc in outs] == [1, 2]
+                assert outs[0]["windows"] != []
+            assert outs[0] == outs[1]
 
 
 def test_run_rejects_sketch_capacity_one(capsys, p3_file):
@@ -297,6 +310,30 @@ def test_gen_infeasible_plant(capsys):
     )
     assert code == 2
     assert "common neighbour" in err
+
+
+# Stdout SHA-256 of four `gen --plant` runs.  Together they take every edit
+# the planter makes: completing a one-sided edge, closing further one-sided
+# edges, giving u an untouched node, taking a common neighbour from v, and
+# joining a fresh node to both sides of a pair with no edge.
+PLANT_GOLDEN = [
+    ("30,4,0.08,4", "0,1,3,2,2", "e0815144f9c28b009e69fd6ba6ae6a5c569b68766256927684bbd7cc32323d62"),
+    ("30,4,0.08,4", "0,1,3,2,6", "82ec0cbfaba17f4bf67ba4c52cca997464bf739ff3bc4bf299ea5c38feb05c73"),
+    ("8,2,1.0,1", "0,1,1,2,3", "f0f1ff42dcf4420afabf4aad350669c03e9b10c1cfd58c52fb14d52c0461aa1a"),
+    ("12,3,0.0,2", "2,5,0,3,0", "38539b5b0798814a1863e275b25dd4bd273e88185041bbe4f4d648aceca4176c"),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, plant, digest", PLANT_GOLDEN, ids=["narrow", "widen", "drop", "fresh"]
+)
+def test_planted_graphs_match_golden_hashes(capsys, graph, plant, digest):
+    n, p, prob, seed = graph.split(",")
+    code, out, err = run_cli(
+        capsys, "gen", "--n", n, "--p", p, "--prob", prob, "--seed", seed, "--plant", plant
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Stdout SHA-256 of each document on one generated instance (30 nodes, p=4,

@@ -38,6 +38,9 @@ T, F = True, False
         ([T, T, F, T, T], 5, []),
         ([F] * 4, 1, []),
         ([F] * 4, 4, []),
+        ([T] * 4, 5, [0, 1, 2, 3]),  # delta >= p: a verdict in every round
+        ([T] * 4, 10**18, [0, 1, 2, 3]),
+        ([T, T, F, T], 9, []),
     ],
 )
 def test_window_starts(flags, delta, starts):
@@ -262,9 +265,6 @@ def test_problem_params_validation():
         ProblemParams(0, 0)
     with pytest.raises(ValueError):
         ProblemParams(1, -1)
-    with pytest.raises(ValueError):
-        ProblemParams(3, 0).validate_for_period(2)
-    ProblemParams(3, 0).validate_for_period(3)
 
 
 @given(temporal_graphs())

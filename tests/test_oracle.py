@@ -108,9 +108,12 @@ def test_all_windows_full_period_reports_every_start():
     assert result[0] == {TwinWindow(1, t0) for t0 in range(p)}
 
 
-def test_all_windows_rejects_delta_beyond_period(p3):
-    with pytest.raises(ValueError):
-        all_windows(p3, ProblemParams(2, 0))
+def test_all_windows_beyond_period_equals_delta_one(p3):
+    # p = 1: every delta asks for the one round's verdict, as delta = 1 does.
+    expected = all_windows(p3, ProblemParams(1, 0))
+    assert expected[1] == {TwinWindow(3, 0)}
+    for delta in (2, 10**18):
+        assert all_windows(p3, ProblemParams(delta, 0)) == expected
 
 
 @given(temporal_graphs(), st.integers(min_value=0, max_value=4))
@@ -206,7 +209,7 @@ def test_common_neighbour_pairs_sparse_ids_and_wrap():
 )
 @settings(max_examples=80)
 def test_all_windows_equals_all_pairs_scan(g, delta, d):
-    params = ProblemParams(min(delta, g.p), d)
+    params = ProblemParams(delta, d)
     assert all_windows(g, params) == all_pairs_windows(g, params)
 
 

@@ -88,8 +88,6 @@ def test_config_validation():
         RunConfig(params=ProblemParams(1, 0), mode="bogus")
     with pytest.raises(ValueError):
         RunConfig(params=ProblemParams(1, 0), mode="sketch")
-    with pytest.raises(ValueError):
-        run(path_graph(3), RunConfig(params=ProblemParams(2, 0)))  # delta > p
 
 
 def test_deterministic_documents():
@@ -327,7 +325,7 @@ def test_routes_equal_the_definition_on_structured_graphs(case):
     # sketch run is taken at a capacity above every degree.
     g, d = case
     k = max(2, g.max_degree() + 1)
-    for delta in {1, g.p}:
+    for delta in {1, g.p, g.p + 1}:
         params = ProblemParams(delta, d)
         expected = all_pairs_windows(g, params)
         assert _routes(g, params, k) == [expected] * 3
