@@ -124,24 +124,26 @@ def cmd_compare(args) -> int:
         if args.input is not None:
             raise ValueError("compare takes --input or --gen, not both")
         n, p, prob = _parse_gen_spec(args.gen)
-        graphs = [
-            generate_random(n, p, prob, seed=args.seed + trial)
-            for trial in range(args.trials)
-        ]
+        # The first instance is made here, so that an invalid spec fails before
+        # any warning; the loop makes each later one.
+        graph = generate_random(n, p, prob, seed=args.seed)
     else:
         if args.input is None:
             raise ValueError("compare needs --input or --gen")
         if args.trials != 1:
             raise ValueError(f"--trials {args.trials} needs --gen: --input is one instance")
-        graphs = [_load_graph(args.input)]
+        graph = _load_graph(args.input)
 
     config = RunConfig(params, args.mode, _sketch_params(args), seed=args.seed)
 
     total_diffs = 0
     decisions = mismatched = boundary = 0
     lines = []
-    for trial, graph in enumerate(graphs):
+    for trial in range(args.trials):
+        if graph is None:
+            graph = generate_random(n, p, prob, seed=args.seed + trial)
         report = compare_with_oracle(graph, config)
+        graph = None  # dropped before the next is made: one instance is held at a time
         total_diffs += sum(len(m) + len(e) for m, e in report.differences.values())
         decisions += report.decisions
         mismatched += report.mismatched_decisions
@@ -149,13 +151,12 @@ def cmd_compare(args) -> int:
         if report.differences:
             lines.append(f"trial {trial}: {len(report.differences)} node(s) differ")
 
-    trials = len(graphs)
     if args.mode == "exact":
-        lines.append(f"{total_diffs} differences / {trials} trials")
+        lines.append(f"{total_diffs} differences / {args.trials} trials")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK if total_diffs == 0 else EXIT_VERIFY
     rate = mismatched / decisions if decisions else 0.0
-    lines.append(f"{total_diffs} window differences / {trials} trials")
+    lines.append(f"{total_diffs} window differences / {args.trials} trials")
     lines.append(f"decision mismatch rate: {rate:.6f} ({mismatched} of {decisions})")
     lines.append(f"boundary decisions: {boundary} of {mismatched} mismatches")
     _emit("\n".join(lines) + "\n", args.out)

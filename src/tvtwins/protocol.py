@@ -4,8 +4,9 @@ Every message is a tuple of (id, degree) entries; the round number picks the
 phase.  Rounds 0..p-1 (phase 1): broadcast the one entry (own id, degree) and
 record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
 entries collected one period earlier; from them, each node counts common
-neighbours per candidate (in sketch mode it keeps each candidate's granted
-sketch instead) and records the candidates it finds to be twins in that round.
+neighbours per candidate whose degree lies within d of its own (in sketch mode
+it keeps every candidate's granted sketch instead, and filters by size when it
+evaluates) and records the candidates it finds to be twins in that round.
 The verdicts for t are final at round p+t, so a window inside the period is
 known once its last round is evaluated; ``finalize`` reads every window,
 including those that straddle the period boundary, from the verdicts.
@@ -68,8 +69,9 @@ class NodeState:
         # Phase-1 entries of each round with an edge: (sender, degree), one per neighbour.
         self.neighbour_reports: dict[int, list[tuple[int, int]]] = {}
         # Per-round accumulators, cleared by end_of_round.  common_count holds
-        # exactly this round's candidates: in exact mode each maps to the
-        # number of forwarders naming it, in sketch mode to its granted sketch.
+        # this round's candidates: in exact mode those within the degree band,
+        # each mapped to the number of forwarders naming it; in sketch mode
+        # all of them, each mapped to its granted sketch.
         self.common_count: dict[int, int] | dict[int, NeighbourhoodSketch] = {}
         self.reported_degree: dict[int, int] = {}
         # Sketch mode: this node's own sketch, echoed back by every neighbour.
@@ -102,19 +104,31 @@ class NodeState:
             counts.update(msg.sketches)
             self.own_sketch = counts.pop(self.node_id, self.own_sketch)
         else:
+            # Size filter: the common count is at most the smaller outside
+            # degree, so the difference is at least the degree gap, and an
+            # entry outside [deg - d, deg + d] cannot be a twin.  This node's
+            # degree at t is the number of phase-1 reports it heard then.
+            try:
+                degree = len(self.neighbour_reports[round_no - self.p])
+            except KeyError:
+                raise ProtocolError(
+                    f"round {round_no}: phase-2 delivery without a phase-1 report"
+                ) from None
+            low, high = degree - self.d, degree + self.d
+            node_id = self.node_id
             degrees = self.reported_degree
-            for entry_id, degree in msg.entries:
-                if entry_id == self.node_id:
-                    continue
-                counts[entry_id] = counts.get(entry_id, 0) + 1
-                degrees[entry_id] = degree
+            for entry_id, entry_degree in msg.entries:
+                if low <= entry_degree <= high and entry_id != node_id:
+                    counts[entry_id] = counts.get(entry_id, 0) + 1
+                    degrees[entry_id] = entry_degree
 
     def end_of_round(self, round_no: int, degree: int) -> None:
         """Evaluate all candidates named this round and record the twins in
         ``twins_at``.
 
         Runs at the round barrier of each round in which the node has an edge;
-        a candidate named by nobody has no common neighbour and is no twin.
+        a candidate named by nobody has no common neighbour and is no twin, nor,
+        in exact mode, is one whose degree lies outside the band.
         """
         if not self.p <= round_no < 2 * self.p:
             raise ProtocolError(f"evaluation only happens in rounds {self.p}..{2 * self.p - 1}")

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import tvtwins
-from tvtwins import parse_tel
+from tvtwins import cli, generate_random, parse_tel
 from tvtwins.cli import main
 
 from .conftest import P3_TEL, WRAP_TEL
@@ -203,6 +204,41 @@ def test_compare_generated_batch(capsys):
     assert "0 differences / 10 trials" in out
 
 
+def test_compare_holds_one_generated_instance_at_a_time(capsys, monkeypatch):
+    # Each instance is dropped before the next is generated, so memory does
+    # not grow with --trials.
+    made = []
+
+    def generate(*args, **kwargs):
+        assert [ref() for ref in made] == [None] * len(made)
+        graph = generate_random(*args, **kwargs)
+        made.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "generate_random", generate)
+    for mode in ("exact", "sketch"):
+        made.clear()
+        code, out, _ = run_cli(
+            capsys,
+            "compare", "--gen", "12,3,0.3", "--trials", "4",
+            "--delta", "2", "--d", "1", "--mode", mode,
+        )
+        assert code == 0 and " / 4 trials\n" in out
+        assert len(made) == 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_compare_invalid_gen_spec_fails_before_any_warning(capsys, mode):
+    # The first instance is generated before the sketch flags are read, so
+    # an invalid spec shows its error alone.
+    code, out, err = run_cli(
+        capsys,
+        "compare", "--gen", "1,4,0.3", "--trials", "3", "--k", "5",
+        "--delta", "1", "--d", "0", "--mode", mode,
+    )
+    assert (code, out, err) == (2, "", "error: need at least two nodes\n")
+
+
 def test_compare_sketch_lossless(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -336,28 +372,42 @@ def test_planted_graphs_match_golden_hashes(capsys, graph, plant, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Stdout SHA-256 of each document on one generated instance (30 nodes, p=4,
-# maximum degree 7, 26 windows).  A change meant only for speed must leave
-# every hash as it is.  At k=4 the sketch compare has full sketches,
-# mismatches and exit code 3.
+# Stdout SHA-256 of each document on a generated instance.  "sparse" has 30
+# nodes, p=4, maximum degree 7 and 26 windows at d=3; at k=4 its sketch compare
+# has full sketches, mismatches and exit code 3.  "dense" has maximum degree 17
+# and a planted 0-twin pair, adjacent at t=0, at the tightest band d=0, where
+# most forwarded entries lie outside the exact route's degree band.  A change
+# meant only for speed must leave every hash as it is.
+GOLDEN_INSTANCES = {
+    "sparse": (("--n", "30", "--p", "4", "--prob", "0.08", "--seed", "4"), "3"),
+    "dense": (
+        ("--n", "30", "--p", "4", "--prob", "0.3", "--seed", "4", "--plant", "0,1,0,3,0"), "0"
+    ),
+}
 GOLDEN = [
-    (("run", "--stats"), 0, "750e3d73d03d5814ff149a6beaa35168e4fbae8b8f55403b84df7fc30a073a9b"),
-    (("run", "--stats", "--mode", "sketch"), 0,
+    ("sparse", ("run", "--stats"), 0,
+     "750e3d73d03d5814ff149a6beaa35168e4fbae8b8f55403b84df7fc30a073a9b"),
+    ("sparse", ("run", "--stats", "--mode", "sketch"), 0,
      "e5179212a30ecb9d3c86c667651a7fdefcf7b1bcfb19afc1d51ba3837d8d3555"),
-    (("oracle", "--stats"), 0, "dcf725f55fd9465b9202dc2cef79d48b2a619e078f09a5504b8b6467e0c98418"),
-    (("compare", "--mode", "sketch", "--k", "4"), 3,
+    ("sparse", ("oracle", "--stats"), 0,
+     "dcf725f55fd9465b9202dc2cef79d48b2a619e078f09a5504b8b6467e0c98418"),
+    ("sparse", ("compare", "--mode", "sketch", "--k", "4"), 3,
      "f47b7e1517c8e40c9f86fa8bfc2e894631804e680d72aa9631e30ac165cc1e54"),
+    ("dense", ("run", "--stats"), 0,
+     "9ee804843bd5a67a9ec5ff9b8b183cf9e1fd2e288f58919c7fab26da2a945d9a"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, exit_code, digest", GOLDEN, ids=["run", "run-sketch", "oracle", "compare-k4"]
+    "instance, command, exit_code, digest",
+    GOLDEN,
+    ids=["run", "run-sketch", "oracle", "compare-k4", "run-dense-d0"],
 )
-def test_documents_match_golden_hashes(capsys, tmp_path, command, exit_code, digest):
+def test_documents_match_golden_hashes(capsys, tmp_path, instance, command, exit_code, digest):
+    gen_flags, d = GOLDEN_INSTANCES[instance]
     path = tmp_path / "golden.tel"
-    argv = ["gen", "--n", "30", "--p", "4", "--prob", "0.08", "--seed", "4", "--out", str(path)]
-    assert main(argv) == 0
+    assert main(["gen", *gen_flags, "--out", str(path)]) == 0
     capsys.readouterr()
-    code, out, err = run_cli(capsys, *command, "--input", str(path), "--delta", "2", "--d", "3")
+    code, out, err = run_cli(capsys, *command, "--input", str(path), "--delta", "2", "--d", d)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

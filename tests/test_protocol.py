@@ -50,7 +50,9 @@ def test_receive_phase1_appends():
 
 
 def test_receive_phase2_skips_self_entry():
-    state = NodeState(1, p=1, delta=1, d=0)
+    state = NodeState(1, p=1, delta=1, d=1)
+    for sender in (2, 3, 4):
+        state.receive(Message(((sender, 2),)), 0)
     state.receive(Message(((5, 2), (1, 3))), 1)
     assert state.common_count == {5: 1}
     assert state.reported_degree == {5: 2}
@@ -58,6 +60,8 @@ def test_receive_phase2_skips_self_entry():
 
 def test_receive_phase2_counts_forwarders():
     state = NodeState(1, p=1, delta=1, d=0)
+    for sender in (2, 3):
+        state.receive(Message(((sender, 2),)), 0)
     state.receive(Message(((5, 2),)), 1)
     state.receive(Message(((5, 2),)), 1)
     assert state.common_count == {5: 2}
@@ -133,9 +137,49 @@ def test_sketch_size_filter_boundary(monkeypatch, own_ids, peer_ids, tested, twi
     assert (state.twins_at[0] == {1}) is twin
 
 
+@pytest.mark.parametrize(
+    "reporters, peer_degree, forwarders, counted, twin",
+    [
+        # Node 0 has degree 4 at d = 2, so the band is [2, 6].  At its lower
+        # edge: difference 4 + 2 - 2*2 = 2, a twin.
+        ((2, 3, 4, 5), 2, (2, 3), True, True),
+        # One below: 4 + 1 - 2*1 = 3, no twin, and not counted.
+        ((2, 3, 4, 5), 1, (2,), False, False),
+        # Upper edge: 4 + 6 - 2*4 = 2, a twin.
+        ((2, 3, 4, 5), 6, (2, 3, 4, 5), True, True),
+        # One above: 4 + 7 - 2*4 = 3.
+        ((2, 3, 4, 5), 7, (2, 3, 4, 5), False, False),
+        # Adjacent (1 reports to 0) at the upper edge: (4-1) + (6-1) - 2*3 = 2.
+        ((1, 2, 3, 4), 6, (2, 3, 4), True, True),
+        # Adjacent, one above: (4-1) + (7-1) - 2*3 = 3.
+        ((1, 2, 3, 4), 7, (2, 3, 4), False, False),
+    ],
+    ids=["lower-edge", "below", "upper-edge", "above", "adjacent-edge", "adjacent-above"],
+)
+def test_exact_degree_band_boundary(reporters, peer_degree, forwarders, counted, twin):
+    # Node 0 hears candidate 1 from each forwarder; it counts the entry only
+    # when 1's degree lies within d of its own, and either way decides as the
+    # difference does, since the gap alone already exceeds d outside the band.
+    state = NodeState(0, p=1, delta=1, d=2)
+    for sender in reporters:
+        state.receive(Message(((sender, peer_degree if sender == 1 else 2),)), 0)
+    forwarded = Message(((0, len(reporters)), (1, peer_degree)))
+    for _ in forwarders:
+        state.receive(forwarded, 1)
+    assert state.common_count == ({1: len(forwarders)} if counted else {})
+    state.end_of_round(1, len(reporters))
+    assert (state.twins_at[0] == {1}) is twin
+    # The band is read from the phase-1 record: a phase-2 delivery without
+    # one breaks the protocol's contract.
+    with pytest.raises(ProtocolError, match="without a phase-1 report"):
+        NodeState(0, p=1, delta=1, d=2).receive(forwarded, 1)
+
+
 def test_sketch_candidates_equal_exact_candidates(monkeypatch):
-    # common_count holds exactly the round's candidates in both modes, with
-    # full and under-full sketches alike (perfbench counts candidates by it).
+    # common_count holds the round's candidates in both modes, with full and
+    # under-full sketches alike; the exact route keeps only those whose degree
+    # lies within d of the node's own (the sketch route filters by size in
+    # end_of_round).
     g = generate_random(30, 4, 0.3, seed=2)
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     fullness = {build_sketch(g.neighbours(v, t), sp).full for t in range(g.p) for v in g.active_nodes(t)}
@@ -151,18 +195,28 @@ def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     monkeypatch.setattr(NodeState, "end_of_round", record)
     run(g, RunConfig(params=ProblemParams(2, 1)))
     run(g, RunConfig(params=ProblemParams(2, 1), mode="sketch", sketch_params=sp))
-    assert seen["sketch"] == seen["exact"]
-    assert sum(map(len, seen["exact"].values())) > 1000
+    in_band = {
+        (v, r): {x for x in named if abs(g.degree(x, r - g.p) - g.degree(v, r - g.p)) <= 1}
+        for (v, r), named in seen["sketch"].items()
+    }
+    assert seen["exact"] == in_band
+    exact, sketch = (sum(map(len, seen[mode].values())) for mode in ("exact", "sketch"))
+    assert 1000 < exact < sketch
 
 
 def test_run_broken_when_candidate_unnamed():
     # Peer 5 is a twin at t=0 and t=2 but unnamed at t=1, so no window lies
     # inside the period; only the wrapping window from t=2 exists.
+    # Node 0's one neighbour is 2 (shared with 5) at t=0 and t=2, and 3 (a
+    # leaf) at t=1.
     state = NodeState(0, p=3, delta=2, d=0)
-    state.receive(Message(((5, 1),)), 3)
+    for t, sender in enumerate((2, 3, 2)):
+        state.receive(Message(((sender, 1 if sender == 3 else 2),)), t)
+    state.receive(Message(((0, 1), (5, 1))), 3)
     state.end_of_round(3, 1)
-    state.end_of_round(4, 1)  # nothing received: no common neighbour anywhere
-    state.receive(Message(((5, 1),)), 5)
+    state.receive(Message(((0, 1),)), 4)  # 3 names only node 0: no candidate
+    state.end_of_round(4, 1)
+    state.receive(Message(((0, 1), (5, 1))), 5)
     state.end_of_round(5, 1)
     assert state.twins_at == [{5}, set(), {5}]
     assert state.finalize() == {TwinWindow(5, 2)}
@@ -221,14 +275,19 @@ def test_message_bits():
 def test_evaluated_values_match_reference(g, d):
     # Each evaluation reads, per candidate, the common count and the reported
     # degree; both must be the reference's, and the candidates at time t
-    # exactly the nodes sharing a neighbour with the evaluating node.
+    # exactly the nodes sharing a neighbour with the evaluating node whose
+    # degree lies within d of its own.
     sim = Simulation(g, RunConfig(params=ProblemParams(min(2, g.p), d)))
     evaluated = set()
     evaluate = NodeState.end_of_round
 
     def check(state, round_no, degree):
         v, t = state.node_id, round_no - state.p
-        common = {u: pair_profile(g, v, u, t).common_count for u in g.nodes if u != v}
+        common = {
+            u: pair_profile(g, v, u, t).common_count
+            for u in g.nodes
+            if u != v and abs(g.degree(u, t) - degree) <= d
+        }
         assert state.common_count == {u: c for u, c in common.items() if c >= 1}
         assert state.reported_degree == {u: g.degree(u, t) for u in state.common_count}
         evaluated.add((v, t))
