@@ -127,12 +127,14 @@ class TemporalGraph:
     def adjacent(self, u: int, v: int, t: int) -> bool:
         return v in self.neighbours(u, t)
 
-    def common_neighbour_pairs(self, t: int):
-        """Yield every pair (u, v), u < v, that shares a neighbour at time t, once.
+    def two_hop_reach(self, t: int):
+        """Yield (u, later) once per node u with an edge at time t, u ascending.
 
-        Two-hop reach through each midpoint (a wedge listing, as in Chiba and
-        Nishizeki's subgraph listing): the cost is the sum over midpoints w of
-        deg_t(w)**2 in set unions, not one step per node pair.  t wraps mod p.
+        ``later`` is the set of nodes v > u that share a neighbour with u at t,
+        so each pair with a common neighbour appears once, under its smaller
+        node.  Two-hop reach through each midpoint (a wedge listing, as in Chiba
+        and Nishizeki's subgraph listing): the cost is the sum over midpoints w
+        of deg_t(w)**2 in set unions, not one step per node pair.  t wraps mod p.
         """
         table = self._adj[t % self._p]
         # Every node reached has an edge, so once the nodes below u are done,
@@ -145,8 +147,7 @@ class TemporalGraph:
                 reach |= table[w]
                 if len(reach) == len(table):
                     break  # reached every node with an edge: dense rounds stop early
-            for v in reach - done:
-                yield u, v
+            yield u, reach - done
 
     def max_degree(self) -> int:
         """Maximum degree over all nodes and all rounds (0 for edgeless graphs)."""

@@ -5,8 +5,10 @@ message passing: it exists so the distributed protocol has an independent
 reference to be checked against.  The decider is the plain set test of
 :func:`is_d_twin`; :func:`all_windows` asks it only about the pairs that share
 a neighbour in a round (a pair without one is no twin by definition) and whose
-degrees differ by at most d (a wider gap alone rules a pair out), so its cost
-follows each round's two-hop reach, not the square of the node count.
+degrees differ by at most d (a wider gap alone rules a pair out).  It reads
+those pairs per node, from the set of higher nodes each node reaches in two
+hops (``TemporalGraph.two_hop_reach``), so its cost follows each round's
+two-hop reach, not the square of the node count.
 """
 
 from typing import NamedTuple
@@ -76,17 +78,21 @@ def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[Tw
     starts of longer runs and windows that straddle the period boundary.  The
     output is symmetric: (v, t0) is listed for u iff (u, t0) is listed for v.
     Each round, :func:`is_d_twin` decides only the pairs that share a
-    neighbour and whose degrees differ by at most d.
+    neighbour and whose degrees differ by at most d: for each node u of
+    ``TemporalGraph.two_hop_reach``, the nodes of its two-hop reach above u
+    whose degree lies in [deg u - d, deg u + d].
     """
     p, delta, d = graph.p, params.delta, params.d
     verdicts: dict[int, list[tuple[int, int]]] = {}
     for t in range(p):
         degree = {v: graph.degree(v, t) for v in graph.active_nodes(t)}
-        for u, v in graph.common_neighbour_pairs(t):
+        for u, later in graph.two_hop_reach(t):
             # Outside sets: |A' Δ B'| >= ||A'| - |B'|| = |deg u - deg v|, so a wider gap is no twin.
-            if abs(degree[u] - degree[v]) <= d and is_d_twin(graph, u, v, t, d):
-                verdicts.setdefault(u, []).append((v, t))
-                verdicts.setdefault(v, []).append((u, t))
+            low, high = degree[u] - d, degree[u] + d
+            for v in later:
+                if low <= degree[v] <= high and is_d_twin(graph, u, v, t, d):
+                    verdicts.setdefault(u, []).append((v, t))
+                    verdicts.setdefault(v, []).append((u, t))
     return {
         v: twin_windows(verdicts[v], p, delta) if v in verdicts else set()
         for v in sorted(graph.nodes)

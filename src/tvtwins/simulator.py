@@ -201,8 +201,8 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     from those verdicts by ``twin_windows``, as in the protocol and the oracle.
 
     In sketch mode, additionally audit every per-round decision (each pair
-    with at least one common neighbour, as listed by
-    ``TemporalGraph.common_neighbour_pairs``): count decisions the sketch flipped,
+    with at least one common neighbour, counted per node from
+    ``TemporalGraph.two_hop_reach``): count decisions the sketch flipped,
     and how many of those lie within the estimator's error band around the
     thresholds (difference within 2*(epsilon*max_degree + 0.5) of d, or a
     common-neighbour count within epsilon*max_degree + 0.5 of the >= 1 test).
@@ -237,13 +237,15 @@ def _audit_sketch_decisions(
     in ``twins_at[t]``; the exact one is whether the oracle's windows of
     length 1 list (v, t) for u.  Both sides name only pairs with a common
     neighbour, so the mismatches are the symmetric difference of the two, and
-    the listed pairs are only counted.  Only a mismatched pair is profiled, to
-    place it in the error band.
+    the pairs are only counted, as the sizes of each node's two-hop reach.
+    Only a mismatched pair is profiled, to place it in the error band.
     """
     graph = sim.graph
     epsilon = sim.config.sketch_params.epsilon
     d = sim.config.params.d
-    report.decisions += sum(1 for t in range(graph.p) for _ in graph.common_neighbour_pairs(t))
+    report.decisions += sum(
+        len(later) for t in range(graph.p) for _, later in graph.two_hop_reach(t)
+    )
     sketched = {
         (u, v, t)
         for u, state in sim.states.items()

@@ -180,24 +180,34 @@ def _pairs_with_common_neighbour(g: TemporalGraph, t: int) -> list[tuple[int, in
     ]
 
 
+def _reach_pairs(g: TemporalGraph, t: int) -> list[tuple[int, int]]:
+    """The pairs two_hop_reach lists at t: (u, v) for every v in u's ``later``."""
+    return [(u, v) for u, later in g.two_hop_reach(t) for v in later]
+
+
 @given(temporal_graphs())
 @settings(max_examples=80)
-def test_common_neighbour_pairs_equal_naive_scan(g):
+def test_two_hop_reach_equals_naive_scan(g):
     for t in range(g.p):
-        listed = list(g.common_neighbour_pairs(t))
-        assert sorted(listed) == _pairs_with_common_neighbour(g, t)  # u < v, each once
+        reach = list(g.two_hop_reach(t))
+        nodes = [u for u, _ in reach]
+        assert sorted(nodes) == sorted(g.active_nodes(t))  # every node with an edge, once
+        assert nodes == sorted(nodes)  # ascending
+        assert all(v > u for u, later in reach for v in later)
+        assert sorted(_reach_pairs(g, t)) == _pairs_with_common_neighbour(g, t)  # u < v, each once
 
 
-def test_common_neighbour_pairs_sparse_ids_and_wrap():
+def test_two_hop_reach_sparse_ids_and_wrap():
     # IDs above n-1 and isolated nodes; round 1 is empty and t=2 wraps to 0.
     edges = {0: {(9, 14), (2, 14), (2, 5)}}
     g = TemporalGraph(p=2, nodes={0, 1, 2, 5, 9, 14}, edges_at=edges, n=10)
-    assert sorted(g.common_neighbour_pairs(0)) == [(2, 9), (5, 14)]
-    assert list(g.common_neighbour_pairs(1)) == []
-    assert sorted(g.common_neighbour_pairs(2)) == [(2, 9), (5, 14)]
+    assert list(g.two_hop_reach(0)) == [(2, {9}), (5, {14}), (9, set()), (14, set())]
+    assert sorted(_reach_pairs(g, 0)) == [(2, 9), (5, 14)]
+    assert list(g.two_hop_reach(1)) == []
+    assert list(g.two_hop_reach(2)) == list(g.two_hop_reach(0))
     # Adjacent pairs are listed too when they share a neighbour.
     adjacent = adjacent_twins_graph()
-    assert sorted(adjacent.common_neighbour_pairs(0)) == [
+    assert sorted(_reach_pairs(adjacent, 0)) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
     ]
 
@@ -229,6 +239,16 @@ def test_all_windows_decides_only_pairs_with_common_neighbour(monkeypatch):
     near = [(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1]
     assert sorted((t, u, v) for _, u, v, t, _ in calls) == near
     assert 0 < len(near) < len(wedges) < g.p * 25 * 24 // 2
+
+
+def test_all_windows_at_huge_d_decides_every_pair_with_common_neighbour(monkeypatch):
+    # The degree band is two bounds, never a range over d.
+    calls = _count_decisions(monkeypatch)
+    g = generate_random(25, 4, 0.1, seed=3)
+    params = ProblemParams(2, 10**18)
+    assert all_windows(g, params) == all_pairs_windows(g, params)
+    wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
+    assert sorted((t, u, v) for _, u, v, t, _ in calls) == wedges
 
 
 def test_all_windows_reports_a_twin_whose_degree_gap_is_d():

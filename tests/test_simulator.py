@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -368,17 +369,21 @@ def test_sketch_full_regime_mismatches_stay_near_thresholds():
 )
 def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
     # The audit reads the run's verdicts and profiles only mismatched pairs;
-    # replaying every listed pair from freshly built sketches and a profile
-    # of each must give the same counts.
+    # replaying every pair with a common neighbour, found by asking every node
+    # pair rather than by the two-hop listing the audit counts with, from
+    # freshly built sketches and a profile of each must give the same counts.
     g = generate_random(n, p, prob, seed=seed)
     sp = SketchParams(k=4, epsilon=0.9, nu=0.5, hash_seed=seed)
     report = compare_with_oracle(g, RunConfig(ProblemParams(1, d), "sketch", sp))
     decisions = mismatched = boundary = 0
+    nodes = sorted(g.nodes)
     for t in range(g.p):
         sketches = {v: build_sketch(g.neighbours(v, t), sp) for v in g.active_nodes(t)}
-        for u, v in g.common_neighbour_pairs(t):
-            decisions += 1
+        for u, v in combinations(nodes, 2):
             profile = oracle.pair_profile(g, u, v, t)
+            if profile.common_count < 1:
+                continue
+            decisions += 1
             adj = 1 if g.adjacent(u, v, t) else 0
             if sketch_d_twin_test(sketches[u], sketches[v], adj, d) == (profile.difference <= d):
                 continue
