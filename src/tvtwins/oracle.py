@@ -16,10 +16,6 @@ from typing import NamedTuple
 from .graph import ProblemParams, TemporalGraph, TwinWindow, twin_windows
 
 
-class NoCommonNeighbourError(ValueError):
-    """The queried pair has no common neighbour, so the path-count test does not apply."""
-
-
 class PairProfile(NamedTuple):
     """Set profile of a node pair at one time instant.
 
@@ -50,25 +46,6 @@ def is_d_twin(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
     """True iff u and v share a neighbour at t and their outside sets differ by at most d."""
     profile = pair_profile(graph, u, v, t)
     return profile.common_count >= 1 and profile.difference <= d
-
-
-def prop1_check(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
-    """Decide the twin relation by counting length-2 paths between u and v.
-
-    Independent route: paths are counted by explicit midpoint enumeration
-    rather than through set algebra.  Requires the pair to have at least one
-    common neighbour; raises :class:`NoCommonNeighbourError` otherwise.
-    """
-    if u == v:
-        raise ValueError(f"twin relations need two distinct nodes, got {u} twice")
-    paths = 0
-    for w in graph.nodes:
-        if w != u and w != v and graph.adjacent(u, w, t) and graph.adjacent(w, v, t):
-            paths += 1
-    if paths == 0:
-        raise NoCommonNeighbourError(f"nodes {u} and {v} have no common neighbour at time {t}")
-    k = len((graph.neighbours(u, t) | graph.neighbours(v, t)) - {u, v})
-    return d >= k or paths >= k - d
 
 
 def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:

@@ -9,7 +9,10 @@ completely and every estimate is exact: one intersection of the two sketches'
 value sets counts the shared values, and the union and intersection follow
 from that count.  When one is full, the k-th smallest value of the two
 together is read by a merge of their sorted values from the top down, which
-reads only the other sketch's values below a full one's largest.
+reads only the other sketch's values below a full one's largest.  The twin
+test skips that merge when k values of the two lie below a bound safely under
+the threshold hash a twin needs: the k-th smallest then lies below it too, so
+the pair is no twin, whatever the merge would read.
 
 :func:`build_sketches` sketches a whole table of sets, such as a round's
 neighbourhoods, and hashes each distinct ID once for all of them;
@@ -233,14 +236,36 @@ def sketch_d_twin_test(
     abs(|A| - |B|) - 2*adj, and a pair whose sizes alone put it above d is
     no twin.  That is the size filter of exact set-similarity joins; the
     caller applies it before calling, and it changes no decision.
+
+    When a sketch is full the verdict is monotone in r_k, the k-th smallest
+    value the two sketches hold: a larger r_k means a smaller union estimate
+    and so a larger intersection.  A twin needs the estimate at most
+    |A| + |B| - need + 1/2, where need = max(1, ceil((|A| + |B| - 2*adj - d)/2))
+    is the least rounded intersection that passes, so r_k must reach a
+    threshold hash.  If at least k distinct values of the two sketches lie
+    below a bound set a relative 1e-9 and two units under that threshold, so
+    that float rounding cannot matter, r_k does too and the pair is rejected
+    without the merge of :func:`estimate_union`: two bisections and one
+    intersection of a prefix.  Every other pair is decided by the estimator,
+    so this filter changes no decision either.
     """
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
+    _check_compatible(a, b)
     size_a, size_b = a.exact_size, b.exact_size
-    if a.full or b.full:  # as estimate_intersection; estimate_union checks compatibility
+    if a.full or b.full:  # as estimate_intersection
+        # The threshold filter above: a twin needs a union estimate (k-1)/r_k
+        # of at most `top`, so r_k at least (k-1)/top * 2**64, above `bound`.
+        k = a.k
+        need = max(1, (size_a + size_b - 2 * adj - d + 1) // 2)
+        top = size_a + size_b - need + 0.5
+        bound = int((k - 1) / top * _HASH_SPACE * (1 - 1e-9)) - 2
+        below_a, below_b = bisect_left(a.mins, bound), bisect_left(b.mins, bound)
+        below = below_a + below_b  # a value both sketches hold counts twice
+        if below >= k and below - len(a.values.intersection(b.mins[:below_b])) >= k:
+            return False
         common = int(min(max(size_a + size_b - estimate_union(a, b), 0), size_a, size_b) + 0.5)
     else:  # estimate_intersection's under-full branch, inlined for the hot path
-        _check_compatible(a, b)
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)
     if common < 1:

@@ -135,6 +135,30 @@ def all_pairs_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, 
     return result
 
 
+class NoCommonNeighbourError(ValueError):
+    """The queried pair has no common neighbour, so the path-count test does not apply."""
+
+
+def prop1_check(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
+    """Decide the twin relation by counting length-2 paths between u and v.
+
+    A route apart from the oracle's: paths are counted by explicit midpoint
+    enumeration rather than through set algebra.  Requires the pair to have
+    at least one common neighbour; raises :class:`NoCommonNeighbourError`
+    otherwise.
+    """
+    if u == v:
+        raise ValueError(f"twin relations need two distinct nodes, got {u} twice")
+    paths = 0
+    for w in graph.nodes:
+        if w != u and w != v and graph.adjacent(u, w, t) and graph.adjacent(w, v, t):
+            paths += 1
+    if paths == 0:
+        raise NoCommonNeighbourError(f"nodes {u} and {v} have no common neighbour at time {t}")
+    k = len((graph.neighbours(u, t) | graph.neighbours(v, t)) - {u, v})
+    return d >= k or paths >= k - d
+
+
 def run_with_snapshots(sim: Simulation) -> tuple[RunResult, list[tuple], int]:
     """Run ``sim`` to the end, copying every node's ``twins_at[t]`` right after
     round p+t, and check that the verdicts form a write-once record.

@@ -23,10 +23,10 @@ from tvtwins import (
 )
 from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width
-from tvtwins.oracle import is_d_twin, pair_profile, prop1_check
+from tvtwins.oracle import is_d_twin, pair_profile
 from tvtwins.sketch import build_sketch, calibrated_capacity, estimate_intersection
 
-from .conftest import WRAP_TEL, all_pairs_windows, path_graph, run_with_snapshots
+from .conftest import WRAP_TEL, all_pairs_windows, path_graph, prop1_check, run_with_snapshots
 
 CORPUS_SIZE = 1000
 EDGE_PROBS = (0.1, 0.3, 0.6)

@@ -376,8 +376,10 @@ def test_planted_graphs_match_golden_hashes(capsys, graph, plant, digest):
 # nodes, p=4, maximum degree 7 and 26 windows at d=3; at k=4 its sketch compare
 # has full sketches, mismatches and exit code 3.  "dense" has maximum degree 17
 # and a planted 0-twin pair, adjacent at t=0, at the tightest band d=0, where
-# most forwarded entries lie outside the exact route's degree band.  A change
-# meant only for speed must leave every hash as it is.
+# most forwarded entries lie outside the exact route's degree band.  At k = 4
+# and k = 2 most sketches of both are full, so their sketch runs pin the
+# full-sketch twin test.  A change meant only for speed must leave every hash
+# as it is.
 GOLDEN_INSTANCES = {
     "sparse": (("--n", "30", "--p", "4", "--prob", "0.08", "--seed", "4"), "3"),
     "dense": (
@@ -395,13 +397,24 @@ GOLDEN = [
      "f47b7e1517c8e40c9f86fa8bfc2e894631804e680d72aa9631e30ac165cc1e54"),
     ("dense", ("run", "--stats"), 0,
      "9ee804843bd5a67a9ec5ff9b8b183cf9e1fd2e288f58919c7fab26da2a945d9a"),
+    ("sparse", ("run", "--stats", "--mode", "sketch", "--k", "4"), 0,
+     "a94bed70df1eca7551db0953732b350875929d9765fa251dd1eeb3cd076b4dc1"),
+    ("sparse", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,
+     "604fd9c84dc9711cc2b65da66e0752cea5fb5bb470b5ba8e3eb50da1ff6f2dc9"),
+    ("dense", ("run", "--stats", "--mode", "sketch", "--k", "4"), 0,
+     "33e55611d482d7221f97b55fa36d62cd948178b3a74a14146912b2eadd2ecaf5"),
+    ("dense", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,
+     "78d0d14ff08ab131be88f3b4bd883feaf52de86493df2112c32f6bb33fbe78a5"),
 ]
 
 
 @pytest.mark.parametrize(
     "instance, command, exit_code, digest",
     GOLDEN,
-    ids=["run", "run-sketch", "oracle", "compare-k4", "run-dense-d0"],
+    ids=[
+        "run", "run-sketch", "oracle", "compare-k4", "run-dense-d0",
+        "run-sketch-k4", "run-sketch-k2", "run-dense-sketch-k4", "run-dense-sketch-k2",
+    ],
 )
 def test_documents_match_golden_hashes(capsys, tmp_path, instance, command, exit_code, digest):
     gen_flags, d = GOLDEN_INSTANCES[instance]

@@ -4,13 +4,15 @@ from hypothesis import strategies as st
 
 from tvtwins import oracle
 from tvtwins import ProblemParams, TemporalGraph, TwinWindow, all_windows, generate_random
-from tvtwins.oracle import NoCommonNeighbourError, is_d_twin, pair_profile, prop1_check
+from tvtwins.oracle import is_d_twin, pair_profile
 
 from .conftest import (
+    NoCommonNeighbourError,
     adjacent_twins_graph,
     all_pairs_windows,
     fig1_graph,
     path_graph,
+    prop1_check,
     temporal_graphs,
 )
 

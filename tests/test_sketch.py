@@ -1,11 +1,12 @@
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tvtwins import SketchParams
+from tvtwins import SketchParams, sketch
 from tvtwins.sketch import (
     NeighbourhoodSketch,
     build_sketch,
@@ -394,6 +395,98 @@ def test_twin_test_rejects_every_pair_the_size_filter_rejects(k, a_ids, b_ids, a
     d = excess - 1 - below % excess  # every d from 0 to excess - 1
     assert not sketch_d_twin_test(a, b, adj, d)
     assert not sketch_d_twin_test(b, a, adj, d)
+
+
+def _rule(a, b, adj, d):
+    """The twin verdict read from estimate_intersection, rounded half up."""
+    c = int(estimate_intersection(a, b) + 0.5)
+    return c >= 1 and a.exact_size + b.exact_size - 2 * adj - 2 * c <= d
+
+
+@contextmanager
+def _counting_estimator():
+    """Count the twin test's calls of estimate_union while the block runs."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return estimate_union(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketch, "estimate_union", counted)
+        yield calls
+
+
+@st.composite
+def _full_pairs(draw):
+    # At least one side has k or more IDs, so it is full unless IDs equal
+    # modulo 2**64 leave it fewer than k distinct hash values.
+    k = draw(st.integers(min_value=2, max_value=8))
+    a_ids = draw(st.sets(_ids, min_size=k, max_size=3 * k))
+    b_ids = draw(st.sets(_ids, max_size=3 * k))
+    if draw(st.booleans()):
+        a_ids, b_ids = b_ids, a_ids
+    sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=draw(st.integers(0, 2**32)))
+    adj = draw(st.integers(min_value=0, max_value=1))
+    d = draw(st.integers(min_value=0, max_value=len(a_ids) + len(b_ids)))
+    return build_sketch(a_ids, sp), build_sketch(b_ids, sp), adj, d
+
+
+@given(_full_pairs())
+@settings(max_examples=400)
+def test_threshold_filter_changes_no_full_sketch_verdict(case):
+    # The twin test may reject a pair with a full sketch before it merges the
+    # two; it must still give the verdict of the estimator, and every twin
+    # must come from the estimator.
+    a, b, adj, d = case
+    with _counting_estimator() as calls:
+        verdict = sketch_d_twin_test(a, b, adj, d)
+    assert verdict == _rule(a, b, adj, d)
+    if verdict and (a.full or b.full):
+        assert calls
+
+
+def _threshold_pair(r, k=8, size=20):
+    """Two equal full sketches whose k-th smallest value is r."""
+    sk = NeighbourhoodSketch(tuple(range(k - 1)) + (r,), size, k, 0)
+    return sk, sk
+
+
+def test_threshold_filter_defers_at_the_threshold_hash():
+    # Sizes 20 and 20 at d = 4 need a rounded intersection of 18, so a union
+    # estimate of at most 22.5.  The bisection leaves in ``high`` the least
+    # r_k at which the estimator says twin; the filter must defer to the
+    # estimator one below it, at it and one above it, where the verdict flips.
+    adj, d = 0, 4
+    low, high = 7, 2**64 - 1  # no twin at r_k = 7, a twin at the top
+    assert not _rule(*_threshold_pair(low), adj, d) and _rule(*_threshold_pair(high), adj, d)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if _rule(*_threshold_pair(mid), adj, d) else (mid, high)
+    assert abs(high / 2**64 - 7 / 22.5) < 1e-9
+    with _counting_estimator() as calls:
+        verdicts = [
+            sketch_d_twin_test(*_threshold_pair(r), adj, d) for r in range(high - 1, high + 2)
+        ]
+    assert verdicts == [False, True, True]
+    assert len(calls) == 3
+
+
+def test_threshold_filter_skips_the_estimator_only_for_far_pairs():
+    # Disjoint full sketches of sets of 100: r_k = 7 puts the union estimate
+    # near 2**64, far above any twin's.
+    a = NeighbourhoodSketch(tuple(range(8)), 100, 8, 0)
+    b = NeighbourhoodSketch(tuple(range(8, 16)), 100, 8, 0)
+    sp = params(k=8)
+    c = build_sketch(range(100), sp)
+    with _counting_estimator() as calls:
+        assert not sketch_d_twin_test(a, b, 0, 0)
+        assert not sketch_d_twin_test(a, b, 1, 150)
+        assert calls == []
+        # A twin always reaches the estimator: equal sets, and sets one apart.
+        assert sketch_d_twin_test(c, c, 0, 0)
+        assert sketch_d_twin_test(c, build_sketch(range(101), sp), 0, 1)
+        assert len(calls) == 2
 
 
 def test_full_regime_decisions_mostly_agree():
