@@ -136,13 +136,18 @@ def build_sketches(table, params: SketchParams) -> dict:
     result maps the same keys to the sketches.  Each distinct ID is hashed
     once, however many of the sets hold it."""
     base = _mix64(params.hash_seed & _MASK)
-    hash_of = {i: _mix64(i ^ base) for i in set().union(*table.values())}.__getitem__
+    hashes = {}  # _mix64(i ^ base) per ID, its steps inlined: no call per ID
+    for i in set().union(*table.values()):
+        x = ((i ^ base) + _GOLDEN) & _MASK
+        x = (x ^ (x >> 30)) * _MIX_1 & _MASK
+        x = (x ^ (x >> 27)) * _MIX_2 & _MASK
+        hashes[i] = x ^ (x >> 31)
     k, hash_seed = params.k, params.hash_seed
     sketches = {}
     for key, ids in table.items():
         # A frozenset copied from a set is sized to fit, unlike one grown from
         # a sequence: for 20 values 64 slots against 128.
-        values = frozenset({*map(hash_of, ids)})
+        values = frozenset({*map(hashes.__getitem__, ids)})
         mins = sorted(values)
         if len(mins) > k:
             del mins[k:]

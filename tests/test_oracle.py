@@ -1,5 +1,7 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tvtwins import oracle
@@ -217,12 +219,21 @@ def test_two_hop_reach_sparse_ids_and_wrap():
 @given(
     temporal_graphs(),
     st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=4),
+    # A d beyond every degree puts all pairs in the band; the band's bounds
+    # are still two comparisons.
+    st.integers(min_value=0, max_value=4) | st.integers(min_value=5, max_value=10**18),
 )
 @settings(max_examples=80)
 def test_all_windows_equals_all_pairs_scan(g, delta, d):
     params = ProblemParams(delta, d)
-    assert all_windows(g, params) == all_pairs_windows(g, params)
+    walk = TemporalGraph.two_hop_reach
+    with mock.patch.object(TemporalGraph, "two_hop_reach", autospec=True, side_effect=walk) as spy:
+        assert all_windows(g, params) == all_pairs_windows(g, params)
+    # Both listings are reached: see how often with --hypothesis-show-statistics.
+    walked = [call.args[1] for call in spy.call_args_list]
+    for t in range(g.p):
+        if g.active_nodes(t):
+            event(f"a round listed by the {'two-hop walk' if t in walked else 'degree band'}")
 
 
 def _count_decisions(monkeypatch) -> list:
@@ -232,25 +243,90 @@ def _count_decisions(monkeypatch) -> list:
     return calls
 
 
+def _count_walks(monkeypatch) -> list:
+    """The rounds at which all_windows lists its pairs by the two-hop walk."""
+    rounds = []
+    walk = TemporalGraph.two_hop_reach
+    monkeypatch.setattr(TemporalGraph, "two_hop_reach", lambda g, t: rounds.append(t) or walk(g, t))
+    return rounds
+
+
+def _ring(n: int) -> TemporalGraph:
+    return TemporalGraph(p=1, nodes=range(n), edges_at={0: {(v, (v + 1) % n) for v in range(n)}})
+
+
+def _matching(n: int) -> TemporalGraph:
+    return TemporalGraph(p=1, nodes=range(n), edges_at={0: {(v, v + 1) for v in range(0, n, 2)}})
+
+
+def _star(leaves: int) -> TemporalGraph:
+    edges = {(0, v) for v in range(1, leaves + 1)}
+    return TemporalGraph(p=1, nodes=range(leaves + 1), edges_at={0: edges})
+
+
+def _complete_bipartite(a: int, b: int) -> TemporalGraph:
+    """K_{a,b} at round 0 of 3; rounds 1 and 2 are empty."""
+    edges = {(u, v) for u in range(a) for v in range(a, a + b)}
+    return TemporalGraph(p=3, nodes=range(a + b), edges_at={0: edges})
+
+
+# Per round, all_windows lists its pairs by the degree band when 4 * B <= W,
+# B the pairs at most d apart in degree and W the wedges: on dense rounds.
+# A round where every degree is equal has B = every pair, and takes the walk.
+# DENSE takes the band in every round at d = 1 and at d = 10**18, SPARSE the
+# walk, and in both some pairs in the band share no neighbour.
+DENSE = generate_random(30, 3, 0.4, seed=3)
+SPARSE = generate_random(25, 4, 0.1, seed=3)
+
+
+@pytest.mark.parametrize(
+    "g, walked",
+    [
+        (_complete_bipartite(8, 12), False),
+        (DENSE, False),
+        (_matching(20), True),
+        (_ring(20), True),
+        # At d = 0 the star K_{1,3} has B = 3 leaf pairs and W = 9 + 3 = 12, a
+        # tie that takes the band scan; K_{1,4} has 4 * 6 > 16 + 4 and walks.
+        (_star(3), False),
+        (_star(4), True),
+    ],
+    ids=["k8x12", "dense", "matching", "ring", "star3", "star4"],
+)
+def test_all_windows_picks_the_listing_per_round(monkeypatch, g, walked):
+    rounds = _count_walks(monkeypatch)
+    params = ProblemParams(1, 0)
+    assert all_windows(g, params) == all_pairs_windows(g, params)
+    assert rounds == (list(range(g.p)) if walked else [])
+
+
 def test_all_windows_decides_only_pairs_with_common_neighbour(monkeypatch):
     # ... and a degree gap of at most d: a wider gap alone rules a pair out.
     calls = _count_decisions(monkeypatch)
-    g = generate_random(25, 4, 0.1, seed=3)
-    all_windows(g, ProblemParams(2, 1))
-    wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
-    near = [(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1]
-    assert sorted((t, u, v) for _, u, v, t, _ in calls) == near
-    assert 0 < len(near) < len(wedges) < g.p * 25 * 24 // 2
+    rounds = _count_walks(monkeypatch)
+    for g, walked in ((SPARSE, True), (DENSE, False)):
+        calls.clear()
+        rounds.clear()
+        all_windows(g, ProblemParams(2, 1))
+        wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
+        near = [(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1]
+        assert sorted((t, u, v) for _, u, v, t, _ in calls) == near
+        assert 0 < len(near) < len(wedges) < g.p * g.n * (g.n - 1) // 2
+        assert rounds == (list(range(g.p)) if walked else [])
 
 
 def test_all_windows_at_huge_d_decides_every_pair_with_common_neighbour(monkeypatch):
     # The degree band is two bounds, never a range over d.
     calls = _count_decisions(monkeypatch)
-    g = generate_random(25, 4, 0.1, seed=3)
+    rounds = _count_walks(monkeypatch)
     params = ProblemParams(2, 10**18)
-    assert all_windows(g, params) == all_pairs_windows(g, params)
-    wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
-    assert sorted((t, u, v) for _, u, v, t, _ in calls) == wedges
+    for g, walked in ((SPARSE, True), (DENSE, False)):
+        calls.clear()
+        rounds.clear()
+        assert all_windows(g, params) == all_pairs_windows(g, params)
+        wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
+        assert sorted((t, u, v) for _, u, v, t, _ in calls) == wedges
+        assert rounds == (list(range(g.p)) if walked else [])
 
 
 def test_all_windows_reports_a_twin_whose_degree_gap_is_d():

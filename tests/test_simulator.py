@@ -128,8 +128,8 @@ def test_sketch_lossless_regime_matches_exact():
 def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     # The audit reuses the run's verdicts: the engine sketches each round's
     # neighbour table once, one sketch per node with an edge in that round,
-    # and hashes each ID at most once per round.  Node 12 has no edge in any
-    # round.  A node builds no sketch: it reads its own from the entry its
+    # and so hashes each ID at most once per round.  Node 12 has no edge in
+    # any round.  A node builds no sketch: it reads its own from the entry its
     # neighbours echo.
     rounds, hashed, own = [], [], []
     build, mix = simulator.build_sketches, sketch._mix64
@@ -137,7 +137,7 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     def counted_build(table, sp):
         hashed.clear()
         sketches = build(table, sp)
-        rounds.append((set(sketches), list(hashed)))
+        rounds.append((set(sketches), set().union(*table.values()), list(hashed)))
         return sketches
 
     monkeypatch.setattr(simulator, "build_sketches", counted_build)
@@ -149,12 +149,14 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     report = compare_with_oracle(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
     assert report.decisions > 0
     assert len(rounds) == g.p
-    for t, (sketched, words) in enumerate(rounds):
+    for t, (sketched, ids, words) in enumerate(rounds):
         with_edge = {v for v in g.nodes if g.degree(v, t)}
         assert sketched == with_edge
-        # One hashed word per node with an edge (only such a node is anyone's
-        # neighbour), and one for the hash seed.
-        assert len(words) == len(set(words)) == len(with_edge) + 1
+        # The IDs to hash are the nodes with an edge (only such a node is
+        # anyone's neighbour).  build_sketches hashes each distinct one once,
+        # with _mix64's steps inlined, and calls _mix64 for the hash seed alone.
+        assert ids == with_edge
+        assert words == [sp.hash_seed]
     assert own == []
 
 

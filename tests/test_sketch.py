@@ -60,6 +60,17 @@ def test_build_deterministic():
         )
 
 
+def test_build_sketches_hashes_each_id_as_mix64():
+    # build_sketches inlines _mix64's steps; the function is the reference,
+    # for IDs below and above 2**64 and seeds taken modulo 2**64.
+    ids = {0, 1, 7, 2**40, 2**64 - 1, 2**64 + 3, 2**70 + 11, 3**50}
+    for seed in (0, 5, -1, 2**64 + 5):
+        base = sketch._mix64(seed & sketch._MASK)
+        built = build_sketches({"a": ids, "b": {1, 2**65}}, params(k=len(ids), seed=seed))
+        assert built["a"].mins == tuple(sorted({sketch._mix64(i ^ base) for i in ids}))
+        assert built["b"].mins == tuple(sorted({sketch._mix64(i ^ base) for i in (1, 2**65)}))
+
+
 def test_capacity_below_two_rejected():
     # With k = 1 a full sketch's union estimate (k-1)/r_k is 0, so disjoint
     # sets {1, 2, 3} and {4, 5, 6} would come out as 0-twins.
