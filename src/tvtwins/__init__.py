@@ -3,10 +3,10 @@
 Library, synchronous-round simulator and CLI for finding pairs of nodes whose
 outside neighbourhoods intersect and differ by at most d elements for delta
 consecutive rounds: an exact two-phase message-passing protocol finishing in
-2p rounds, a randomized sketch variant whose per-entry payload is fixed by
-the sketch capacity (a message still carries one entry per neighbour of its
-sender, so its size grows with degree), and a brute-force reference for
-ground truth.
+2p rounds, a randomized sketch variant whose sketch per entry costs at most
+16 + W + 64k bits for capacity k and W-bit IDs (a message still carries one
+entry per neighbour of its sender, so its size grows with degree), and a
+brute-force reference for ground truth.
 """
 
 __version__ = "0.1.0"

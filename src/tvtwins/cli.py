@@ -19,7 +19,7 @@ from .graph import (
     serialize_tel,
 )
 from .sketch import SketchParams, calibrated_capacity
-from .simulator import RunConfig, compare_with_oracle, graph_digest, run
+from .simulator import MODES, RunConfig, compare_with_oracle, graph_digest, run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,7 +200,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, input_required: bool = True) ->
     sub.add_argument("--input", required=input_required, help=".tel input file")
     sub.add_argument("--delta", type=int, required=True, help="window length")
     sub.add_argument("--d", type=int, required=True, help="tolerated neighbourhood difference")
-    sub.add_argument("--mode", choices=("exact", "sketch"), default="exact")
+    sub.add_argument("--mode", choices=MODES, default="exact")
     sub.add_argument("--epsilon", type=float, default=None, help="sketch accuracy target")
     sub.add_argument("--nu", type=float, default=None, help="sketch failure probability")
     sub.add_argument("--k", type=int, default=None, help="sketch capacity (default: calibrated)")

@@ -124,9 +124,6 @@ class TemporalGraph:
     def degree(self, v: int, t: int) -> int:
         return len(self.neighbours(v, t))
 
-    def adjacent(self, u: int, v: int, t: int) -> bool:
-        return v in self.neighbours(u, t)
-
     def two_hop_reach(self, t: int):
         """Yield (u, later) once per node u with an edge at time t, u ascending.
 

@@ -3,10 +3,10 @@
 Every message is a tuple of (id, degree) entries; the round number picks the
 phase.  Rounds 0..p-1 (phase 1): broadcast the one entry (own id, degree) and
 record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
-entries collected one period earlier; from them, each node counts common
-neighbours per candidate whose degree lies within d of its own (in sketch mode
-it keeps every candidate's granted sketch instead, and filters by size when it
-evaluates) and records the candidates it finds to be twins in that round.
+entries collected one period earlier.  From them each node fills one table per
+round, counting forwarders per (id, degree) entry within d of its own degree
+(in sketch mode keeping each named node's granted sketch), and at the round's
+end takes out its own echoed entry and records the twins among the rest.
 The verdicts for t are final at round p+t, so a window inside the period is
 known once its last round is evaluated; ``finalize`` reads every window,
 including those that straddle the period boundary, from the verdicts.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .graph import TwinWindow, twin_windows
-# build_sketch is not called here (a node takes its own sketch from its echoed
+# build_sketch is not called here (a node reads its own sketch from its echoed
 # phase-2 entry); it stays bound because perfbench's tracer wraps it here.
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test
 
@@ -35,10 +35,11 @@ class Message:
 
 
 def message_bits(msg: Message, width: int) -> int:
-    """Logical message size: IDs and degrees are width-bit fields."""
+    """Logical message size: IDs and degrees are width-bit fields, and a sketch,
+    in its only wire form, is a 16-bit count, 64 bits per live value and a
+    width-bit exact size: at most 16 + width + 64k bits at capacity k."""
     bits = len(msg.entries) * 2 * width
     if msg.sketches:
-        # Each sketch: a 16-bit count, 64 bits per live value, a width-bit exact size.
         sketches = msg.sketches.values()
         live = sum(map(len, map(attrgetter("mins"), sketches)))
         bits += len(sketches) * (16 + width) + 64 * live
@@ -68,14 +69,11 @@ class NodeState:
         self.sketch_params = sketch_params
         # Phase-1 entries of each round with an edge: (sender, degree), one per neighbour.
         self.neighbour_reports: dict[int, list[tuple[int, int]]] = {}
-        # Per-round accumulators, cleared by end_of_round.  common_count holds
-        # this round's candidates: in exact mode those within the degree band,
-        # each mapped to the number of forwarders naming it; in sketch mode
-        # all of them, each mapped to its granted sketch.
-        self.common_count: dict[int, int] | dict[int, NeighbourhoodSketch] = {}
-        self.reported_degree: dict[int, int] = {}
-        # Sketch mode: this node's own sketch, echoed back by every neighbour.
-        self.own_sketch: NeighbourhoodSketch | None = None
+        # This round's table, emptied by end_of_round: in exact mode each
+        # forwarded (id, degree) entry within the degree band, mapped to the
+        # number of forwarders naming it; in sketch mode each named id, mapped
+        # to its granted sketch.  Both hold this node's own echoed entry.
+        self.common_count: dict[tuple[int, int], int] | dict[int, NeighbourhoodSketch] = {}
         # time index -> ids detected as d-twins at that time (one shared empty
         # set until evaluated): the node's only record of its verdicts.  Slot t
         # is written once, at round p+t, and is final from then on.
@@ -102,7 +100,6 @@ class NodeState:
         if msg.sketches:
             # The verdict reads sketches only, so no forwarder is counted.
             counts.update(msg.sketches)
-            self.own_sketch = counts.pop(self.node_id, self.own_sketch)
         else:
             # Size filter: the common count is at most the smaller outside
             # degree, so the difference is at least the degree gap, and an
@@ -115,12 +112,9 @@ class NodeState:
                     f"round {round_no}: phase-2 delivery without a phase-1 report"
                 ) from None
             low, high = degree - self.d, degree + self.d
-            node_id = self.node_id
-            degrees = self.reported_degree
-            for entry_id, entry_degree in msg.entries:
-                if low <= entry_degree <= high and entry_id != node_id:
-                    counts[entry_id] = counts.get(entry_id, 0) + 1
-                    degrees[entry_id] = entry_degree
+            for entry in msg.entries:
+                if low <= entry[1] <= high:
+                    counts[entry] = counts.get(entry, 0) + 1
 
     def end_of_round(self, round_no: int, degree: int) -> None:
         """Evaluate all candidates named this round and record the twins in
@@ -133,38 +127,36 @@ class NodeState:
         if not self.p <= round_no < 2 * self.p:
             raise ProtocolError(f"evaluation only happens in rounds {self.p}..{2 * self.p - 1}")
         t = round_no - self.p
-        counts = self.common_count
-        reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
-        own_sketch = self.own_sketch
-        if self.sketch_params is not None and counts and own_sketch is None:
+        counts, self.common_count = self.common_count, {}
+        exact = self.sketch_params is None
+        own = counts.pop((self.node_id, degree) if exact else self.node_id, None)
+        if own is None and counts:
             raise ProtocolError(
-                f"round {round_no}: candidates named but no neighbour echoed this node's sketch"
+                f"round {round_no}: candidates named but no neighbour echoed this node's entry"
             )
 
+        # The raw degrees overcount by one each when the pair is adjacent;
+        # adjacency is visible in the phase-1 history.
+        reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
         detected = self.twins_at[t] = set()
         d = self.d
-        own_size = own_sketch.exact_size if own_sketch is not None else 0
-        for twin_id, value in counts.items():
-            # The raw degrees overcount by one each when the pair is adjacent;
-            # adjacency is visible in the phase-1 history.
-            adj = 1 if twin_id in reporters else 0
-            if own_sketch is not None:
+        if exact:
+            for (twin_id, twin_degree), common in counts.items():
+                adj = 1 if twin_id in reporters else 0
+                if degree + twin_degree - 2 * adj - 2 * common <= d:
+                    detected.add(twin_id)
+        elif counts:
+            own_size = own.exact_size
+            for twin_id, sketch in counts.items():
+                adj = 1 if twin_id in reporters else 0
                 # Size filter: the twin test's common count is at most the
                 # smaller size, so its difference is at least the size gap
                 # less 2*adj; a pair with a larger gap is no twin, and no
                 # sketch values need comparing.
-                ok = abs(own_size - value.exact_size) - 2 * adj <= d and sketch_d_twin_test(
-                    own_sketch, value, adj, d
-                )
-            else:
-                difference = (degree - adj) + (self.reported_degree[twin_id] - adj) - 2 * value
-                ok = difference <= d
-            if ok:
-                detected.add(twin_id)
-
-        self.common_count = {}
-        self.reported_degree = {}
-        self.own_sketch = None
+                if abs(own_size - sketch.exact_size) - 2 * adj <= d and sketch_d_twin_test(
+                    own, sketch, adj, d
+                ):
+                    detected.add(twin_id)
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:

@@ -23,7 +23,6 @@ exact sizes, to its caller.
 
 import math
 import statistics
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
@@ -119,16 +118,6 @@ class NeighbourhoodSketch:
                 raise ValueError("sketch values must lie in [0, 2**64)")
             object.__setattr__(self, "values", frozenset(mins))
         object.__setattr__(self, "full", len(self.mins) >= self.k)
-
-    def serialize(self) -> bytes:
-        """Fixed-size wire form: uint16 count, k uint64 value slots (zero
-        padded past the live values), uint64 exact size.
-
-        The length depends only on the capacity k, never on the set size or
-        on any property of the graph the set came from.
-        """
-        padded = self.mins + (0,) * (self.k - len(self.mins))
-        return struct.pack(f"<H{self.k}QQ", len(self.mins), *padded, self.exact_size)
 
 
 def build_sketches(table, params: SketchParams) -> dict:
@@ -258,7 +247,7 @@ def sketch_d_twin_test(
         raise ValueError("adj must be 0 or 1")
     _check_compatible(a, b)
     size_a, size_b = a.exact_size, b.exact_size
-    if a.full or b.full:  # as estimate_intersection
+    if a.full or b.full:
         # The threshold filter above: a twin needs a union estimate (k-1)/r_k
         # of at most `top`, so r_k at least (k-1)/top * 2**64, above `bound`.
         k = a.k
@@ -269,7 +258,7 @@ def sketch_d_twin_test(
         below = below_a + below_b  # a value both sketches hold counts twice
         if below >= k and below - len(a.values.intersection(b.mins[:below_b])) >= k:
             return False
-        common = int(min(max(size_a + size_b - estimate_union(a, b), 0), size_a, size_b) + 0.5)
+        common = int(estimate_intersection(a, b) + 0.5)
     else:  # estimate_intersection's under-full branch, inlined for the hot path
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)

@@ -24,6 +24,7 @@ from tvtwins import (
 from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width
 from tvtwins.oracle import is_d_twin, pair_profile
+from tvtwins.protocol import Message, message_bits
 from tvtwins.sketch import build_sketch, calibrated_capacity, estimate_intersection
 
 from .conftest import WRAP_TEL, all_pairs_windows, path_graph, prop1_check, run_with_snapshots
@@ -250,17 +251,39 @@ def test_criterion_8_sketch_accuracy():
 
 
 def test_criterion_9_sketch_payload_independence():
-    k = 32
-    lengths = set()
+    # A sketch costs what message_bits charges it, 16 + W + 64 * min(deg, k)
+    # bits, so at most 16 + W + 64k whatever the degree; the graphs have
+    # degrees on both sides of k.  A sketch run sends the exact run's entries
+    # and, with each phase-2 entry, the sketch of the node it names: the entry
+    # of x at t is forwarded by each of x's deg_t(x) neighbours.
+    k = 16
+    params = ProblemParams(2, 1)
+    degrees, wrong_costs, wrong_totals = set(), [], []
     for n, p, prob, seed in ((6, 2, 0.9, 1), (60, 3, 0.3, 2), (300, 1, 0.02, 3), (40, 5, 0.6, 4)):
         graph = generate_random(n, p, prob, seed=seed)
+        width = id_width(graph.n)
         sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=seed)
+        expected = 0
         for t in range(graph.p):
             for v in graph.nodes:
-                lengths.add(len(build_sketch(graph.neighbours(v, t), sp).serialize()))
-    ok = lengths == {2 + 8 * k + 8}
-    report(9, "sketch payload independence", ok, f"serialized lengths: {sorted(lengths)}")
-    assert lengths == {2 + 8 * k + 8}
+                deg = graph.degree(v, t)
+                cost = 16 + width + 64 * min(deg, k)
+                sketch = build_sketch(graph.neighbours(v, t), sp)
+                charged = message_bits(Message(((v, deg),), {v: sketch}), width) - 2 * width
+                if charged != cost or charged > 16 + width + 64 * k:
+                    wrong_costs.append((seed, v, t, charged))
+                degrees.add(deg)
+                expected += deg * cost
+        exact = run(graph, RunConfig(params)).stats.total_bits
+        sketched = run(graph, RunConfig(params, "sketch", sp)).stats.total_bits
+        if sketched - exact != expected:
+            wrong_totals.append((seed, sketched - exact, expected))
+    ok = not wrong_costs and not wrong_totals and min(degrees) < k < max(degrees)
+    detail = f"k={k}, degrees {min(degrees)}..{max(degrees)}, at most {16 + 64 * k} + W bits"
+    report(9, "sketch payload bound", ok, detail)
+    assert min(degrees) < k < max(degrees)
+    assert wrong_costs == []
+    assert wrong_totals == []
 
 
 def test_criterion_10_determinism():

@@ -49,13 +49,16 @@ def test_receive_phase1_appends():
     assert state.neighbour_reports[3] == [(4, 7)]
 
 
-def test_receive_phase2_skips_self_entry():
+def test_receive_phase2_keeps_self_entry_until_end_of_round():
+    # The node's own echoed entry is counted like any other; end_of_round
+    # takes it out, so the node is never its own twin.
     state = NodeState(1, p=1, delta=1, d=1)
     for sender in (2, 3, 4):
         state.receive(Message(((sender, 2),)), 0)
     state.receive(Message(((5, 2), (1, 3))), 1)
-    assert state.common_count == {5: 1}
-    assert state.reported_degree == {5: 2}
+    assert state.common_count == {(5, 2): 1, (1, 3): 1}
+    state.end_of_round(1, 3)
+    assert state.twins_at[0] == set() and state.common_count == {}
 
 
 def test_receive_phase2_counts_forwarders():
@@ -64,7 +67,7 @@ def test_receive_phase2_counts_forwarders():
         state.receive(Message(((sender, 2),)), 0)
     state.receive(Message(((5, 2),)), 1)
     state.receive(Message(((5, 2),)), 1)
-    assert state.common_count == {5: 2}
+    assert state.common_count == {(5, 2): 2}
 
 
 def test_end_of_round_emits_window_on_p3():
@@ -84,23 +87,45 @@ def test_end_of_round_outside_phase2():
         state.end_of_round(0, 1)
 
 
-def test_sketch_end_of_round_reads_echoed_own_sketch():
+def test_sketch_end_of_round_reads_echoed_own_sketch(monkeypatch):
     # Node 1 on the 3-path 1-2-3: forwarder 2 echoes node 1's entry with its
     # sketch, which node 1 compares with node 3's.  Without the echo it has a
     # candidate and nothing to compare it with, and fails fast.
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     own, peer = build_sketch({2}, sp), build_sketch({2}, sp)
+    calls = []
+    twin_test = protocol.sketch_d_twin_test
+    monkeypatch.setattr(
+        protocol, "sketch_d_twin_test", lambda *a: calls.append(a) or twin_test(*a)
+    )
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Message(((2, 2),)), 0)
     state.receive(Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
-    assert state.own_sketch is own and state.common_count == {3: peer}
+    assert state.common_count == {3: peer, 1: own}
     state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
-    assert state.own_sketch is None and state.common_count == {}
+    assert state.common_count == {}
+    assert len(calls) == 1 and calls[0][0] is own and calls[0][1] is peer
 
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Message(((2, 2),)), 0)
     state.receive(Message(((3, 1),), {3: peer}), 1)
+    with pytest.raises(ProtocolError, match="echoed"):
+        state.end_of_round(1, 1)
+
+
+@pytest.mark.parametrize(
+    "forwarded",
+    [((3, 1),), ((3, 1), (1, 2))],
+    ids=["no-own-entry", "own-entry-other-degree"],
+)
+def test_exact_end_of_round_requires_echoed_own_entry(forwarded):
+    # Node 1 on the 3-path 1-2-3 at d = 1: the candidate 3 arrives, but the
+    # echo of node 1's own entry is missing or names a degree other than the
+    # injected one, so the node cannot tell its own entry from a candidate.
+    state = NodeState(1, p=1, delta=1, d=1)
+    state.receive(Message(((2, 2),)), 0)
+    state.receive(Message(forwarded), 1)
     with pytest.raises(ProtocolError, match="echoed"):
         state.end_of_round(1, 1)
 
@@ -166,7 +191,9 @@ def test_exact_degree_band_boundary(reporters, peer_degree, forwarders, counted,
     forwarded = Message(((0, len(reporters)), (1, peer_degree)))
     for _ in forwarders:
         state.receive(forwarded, 1)
-    assert state.common_count == ({1: len(forwarders)} if counted else {})
+    own = {(0, len(reporters)): len(forwarders)}
+    peer = {(1, peer_degree): len(forwarders)} if counted else {}
+    assert state.common_count == {**own, **peer}
     state.end_of_round(1, len(reporters))
     assert (state.twins_at[0] == {1}) is twin
     # The band is read from the phase-1 record: a phase-2 delivery without
@@ -177,9 +204,10 @@ def test_exact_degree_band_boundary(reporters, peer_degree, forwarders, counted,
 
 def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     # common_count holds the round's candidates in both modes, with full and
-    # under-full sketches alike; the exact route keeps only those whose degree
-    # lies within d of the node's own (the sketch route filters by size in
-    # end_of_round).
+    # under-full sketches alike, and the node's own echoed entry; the exact
+    # route keeps only those whose degree lies within d of the node's own
+    # (the sketch route filters by size in end_of_round), each under its
+    # reported degree, which is the true one.
     g = generate_random(30, 4, 0.3, seed=2)
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     fullness = {build_sketch(g.neighbours(v, t), sp).full for t in range(g.p) for v in g.active_nodes(t)}
@@ -188,8 +216,12 @@ def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     evaluate = NodeState.end_of_round
 
     def record(state, round_no, degree):
-        mode = "exact" if state.sketch_params is None else "sketch"
-        seen[mode][state.node_id, round_no] = set(state.common_count)
+        if state.sketch_params is None:
+            t = round_no - g.p
+            assert all(x_degree == g.degree(x, t) for x, x_degree in state.common_count)
+            seen["exact"][state.node_id, round_no] = {x for x, _ in state.common_count}
+        else:
+            seen["sketch"][state.node_id, round_no] = set(state.common_count)
         evaluate(state, round_no, degree)
 
     monkeypatch.setattr(NodeState, "end_of_round", record)
@@ -200,6 +232,7 @@ def test_sketch_candidates_equal_exact_candidates(monkeypatch):
         for (v, r), named in seen["sketch"].items()
     }
     assert seen["exact"] == in_band
+    assert all(v in named for (v, _), named in seen["sketch"].items())
     exact, sketch = (sum(map(len, seen[mode].values())) for mode in ("exact", "sketch"))
     assert 1000 < exact < sketch
 
@@ -276,7 +309,8 @@ def test_evaluated_values_match_reference(g, d):
     # Each evaluation reads, per candidate, the common count and the reported
     # degree; both must be the reference's, and the candidates at time t
     # exactly the nodes sharing a neighbour with the evaluating node whose
-    # degree lies within d of its own.
+    # degree lies within d of its own, besides the node's own entry, named by
+    # each of its neighbours.
     sim = Simulation(g, RunConfig(params=ProblemParams(min(2, g.p), d)))
     evaluated = set()
     evaluate = NodeState.end_of_round
@@ -284,12 +318,12 @@ def test_evaluated_values_match_reference(g, d):
     def check(state, round_no, degree):
         v, t = state.node_id, round_no - state.p
         common = {
-            u: pair_profile(g, v, u, t).common_count
+            (u, g.degree(u, t)): pair_profile(g, v, u, t).common_count
             for u in g.nodes
             if u != v and abs(g.degree(u, t) - degree) <= d
         }
+        common[v, degree] = degree
         assert state.common_count == {u: c for u, c in common.items() if c >= 1}
-        assert state.reported_degree == {u: g.degree(u, t) for u in state.common_count}
         evaluated.add((v, t))
         evaluate(state, round_no, degree)
 

@@ -386,7 +386,7 @@ def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
             if profile.common_count < 1:
                 continue
             decisions += 1
-            adj = 1 if g.adjacent(u, v, t) else 0
+            adj = 1 if v in g.neighbours(u, t) else 0
             if sketch_d_twin_test(sketches[u], sketches[v], adj, d) == (profile.difference <= d):
                 continue
             mismatched += 1

@@ -172,13 +172,6 @@ def test_intersection_disjoint_clamps_to_zero():
     assert estimate_intersection(a, b) == 0.0
 
 
-def test_serialized_size_depends_only_on_capacity():
-    sizes = set()
-    for ids in (set(), {1}, set(range(5)), set(range(500)), set(range(10**6, 10**6 + 40))):
-        sizes.add(len(build_sketch(ids, params(k=32)).serialize()))
-    assert sizes == {2 + 32 * 8 + 8}
-
-
 def test_d_twin_test_underfull_path3():
     a = build_sketch({2}, params())  # N(1) on the 3-path
     b = build_sketch({2}, params())  # N(3)
