@@ -101,17 +101,6 @@ class Simulation:
             v: NodeState(v, p, params.delta, params.d, sketch_params=sp)
             for v in sorted(set().union(*self._active))
         }
-        self._sketches = None
-        if sp is not None:
-            # The engine grants each phase-2 entry the sketch of the named
-            # node's neighbourhood at the matching time, the same way it
-            # grants every node its current degree.  An entry names a neighbour
-            # of its forwarder, and the audit reads only pairs with a common
-            # neighbour, so only the round's active nodes need one.
-            self._sketches = [
-                build_sketches({v: graph.neighbours(v, t) for v in active}, sp)
-                for t, active in enumerate(self._active)
-            ]
         self.round = 0
         self.stats = RoundStats(**graph_digest(graph))
 
@@ -126,7 +115,14 @@ class Simulation:
 
         states = self.states
         active = self._active[t]
-        granted = self._sketches[t] if self._sketches is not None else None
+        granted = None
+        if phase2 and self.config.mode == "sketch":
+            # The engine grants each phase-2 entry the sketch of the named node's
+            # neighbourhood at t, as it grants every node its current degree.  An
+            # entry names a neighbour of its forwarder, so only the round's active
+            # nodes need one; the table is built here and dropped with the round.
+            sp = self.config.sketch_params
+            granted = build_sketches({v: graph.neighbours(v, t) for v in active}, sp)
         # Senders go in ascending order, so every receiver hears its senders in
         # ascending order whatever the order of a neighbour set: hence determinism.
         outbox = []
@@ -146,8 +142,8 @@ class Simulation:
                 states[w].receive(msg, round_no)
 
         if phase2:
-            for v in active:
-                states[v].end_of_round(round_no, graph.degree(v, t))
+            for v, (_, neighbours) in zip(active, outbox):
+                states[v].end_of_round(round_no, len(neighbours))
 
         self.stats.messages += len(active)
         self.stats.deliveries += deliveries
@@ -184,9 +180,9 @@ class CompareReport:
     equal: bool
     differences: dict[int, tuple[frozenset, frozenset]]  # node -> (missing, extra)
     rounds_executed: int
-    decisions: int = 0
-    mismatched_decisions: int = 0
-    boundary_decisions: int = 0
+    decisions: int
+    mismatched_decisions: int
+    boundary_decisions: int
 
     @property
     def mismatch_rate(self) -> float:
@@ -218,20 +214,15 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
         if missing or extra:
             differences[v] = (missing, extra)
 
-    report = CompareReport(
-        equal=not differences,
-        differences=differences,
-        rounds_executed=result.rounds_executed,
-    )
-    if config.mode == "sketch":
-        _audit_sketch_decisions(sim, verdicts, report)
-    return report
+    audit = _audit_sketch_decisions(sim, verdicts) if config.mode == "sketch" else (0, 0, 0)
+    return CompareReport(not differences, differences, result.rounds_executed, *audit)
 
 
 def _audit_sketch_decisions(
-    sim: Simulation, verdicts: dict[int, set[TwinWindow]], report: CompareReport
-) -> None:
-    """Compare every per-round decision the run recorded with the oracle's.
+    sim: Simulation, verdicts: dict[int, set[TwinWindow]]
+) -> tuple[int, int, int]:
+    """Compare every per-round decision the run recorded with the oracle's:
+    return how many there are, how many differ and how many of those lie in the error band.
 
     The sketch decision of a pair (u, v), u < v, at t is whether u recorded v
     in ``twins_at[t]``; the exact one is whether the oracle's windows of
@@ -243,9 +234,7 @@ def _audit_sketch_decisions(
     graph = sim.graph
     epsilon = sim.config.sketch_params.epsilon
     d = sim.config.params.d
-    report.decisions += sum(
-        len(later) for t in range(graph.p) for _, later in graph.two_hop_reach(t)
-    )
+    decisions = sum(len(later) for t in range(graph.p) for _, later in graph.two_hop_reach(t))
     sketched = {
         (u, v, t)
         for u, state in sim.states.items()
@@ -254,11 +243,13 @@ def _audit_sketch_decisions(
         if v > u
     }
     exact = {(u, v, t) for u, windows in verdicts.items() for v, t in windows if v > u}
-    for u, v, t in sketched ^ exact:
-        report.mismatched_decisions += 1
+    mismatched = sketched ^ exact
+    boundary = 0
+    for u, v, t in mismatched:
         profile = oracle.pair_profile(graph, u, v, t)
         scale = epsilon * max(graph.degree(u, t), graph.degree(v, t))
         near_difference = abs(profile.difference - d) <= 2 * scale + 1
         near_common = profile.common_count <= scale + 0.5
         if near_difference or near_common:
-            report.boundary_decisions += 1
+            boundary += 1
+    return decisions, len(mismatched), boundary

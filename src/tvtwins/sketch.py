@@ -2,12 +2,12 @@
 
 A sketch keeps the k smallest 64-bit hash values of a set together with the
 set's exact size.  Two sketches built with the same seed support estimating
-the size of the union of the underlying sets, and from that (by
-inclusion-exclusion with the exact sizes) the size of the intersection.
-When both sketches hold fewer than k values they encode their sets' hashes
-completely and every estimate is exact: one intersection of the two sketches'
-value sets counts the shared values, and the union and intersection follow
-from that count.  When one is full, the k-th smallest value of the two
+the size of the union of the underlying sets, and from that, in every regime
+by the one inclusion-exclusion formula with the exact sizes, the size of the
+intersection.  When both sketches hold fewer than k values they encode their
+sets' hashes completely and every estimate is exact: one intersection of the
+two sketches' value sets counts the shared values, and the union is the count
+of distinct values.  When one is full, the k-th smallest value of the two
 together is read by a merge of their sorted values from the top down, which
 reads only the other sketch's values below a full one's largest.  The twin
 test skips that merge when k values of the two lie below a bound safely under
@@ -157,11 +157,6 @@ def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
         raise ValueError("sketches were built with different hash seeds")
 
 
-def _distinct_values(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> int:
-    """How many distinct hash values two sketches hold between them."""
-    return len(a.mins) + len(b.mins) - len(a.values & b.values)
-
-
 def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     """Estimate |A ∪ B| from two compatible sketches.
 
@@ -173,7 +168,7 @@ def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     """
     _check_compatible(a, b)
     if not a.full and not b.full:
-        return float(_distinct_values(a, b))
+        return float(len(a.mins) + len(b.mins) - len(a.values & b.values))
     # r_k is at most the largest value of a full sketch.  Take as a the full
     # one with the lower largest value: fewer than k of b's values lie below.
     if not a.full or (b.full and b.mins[-1] < a.mins[-1]):
@@ -198,19 +193,15 @@ def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
 
 
 def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
-    """Estimate |A ∩ B| by inclusion-exclusion with the exact set sizes,
-    clamped to the feasible range [0, min(|A|, |B|)].
+    """Estimate |A ∩ B| as |A| + |B| - :func:`estimate_union`, with the exact
+    set sizes, clamped to the feasible range [0, min(|A|, |B|)].
 
-    Exact when both sketches are under-full; the upper clamp still matters
-    there when IDs equal modulo 2**64 share a hash value, so that a set's
-    exact size exceeds its sketch's count of values.  Otherwise the union is
-    the estimate of :func:`estimate_union`.
+    Exact when both sketches are under-full, since the union is then exact;
+    the upper clamp still matters there when IDs equal modulo 2**64 share a
+    hash value, so that a set's exact size exceeds its sketch's count of
+    values.
     """
-    if a.full or b.full:
-        est = max(a.exact_size + b.exact_size - estimate_union(a, b), 0)
-    else:
-        _check_compatible(a, b)
-        est = a.exact_size + b.exact_size - _distinct_values(a, b)
+    est = max(a.exact_size + b.exact_size - estimate_union(a, b), 0)
     return float(min(est, a.exact_size, b.exact_size))
 
 
@@ -259,7 +250,7 @@ def sketch_d_twin_test(
         if below >= k and below - len(a.values.intersection(b.mins[:below_b])) >= k:
             return False
         common = int(estimate_intersection(a, b) + 0.5)
-    else:  # estimate_intersection's under-full branch, inlined for the hot path
+    else:  # estimate_intersection over estimate_union's exact under-full count, inlined
         shared = len(a.values & b.values)
         common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)
     if common < 1:

@@ -146,11 +146,15 @@ def test_ids_equal_modulo_hash_space_share_a_value():
 
 
 def test_incompatible_sketches_rejected():
-    a = build_sketch({1}, params(k=8, seed=0))
-    with pytest.raises(ValueError):
-        estimate_union(a, build_sketch({1}, params(k=16, seed=0)))
-    with pytest.raises(ValueError):
-        estimate_union(a, build_sketch({1}, params(k=8, seed=1)))
+    # A capacity and a seed mismatch, between under-full sketches and between
+    # full ones: both estimators raise in either regime.
+    for ids in ({1}, range(20)):
+        a = build_sketch(ids, params(k=8, seed=0))
+        for b in (build_sketch(ids, params(k=16, seed=0)), build_sketch(ids, params(k=8, seed=1))):
+            assert a.full == b.full == (len(ids) == 20)
+            for estimate in (estimate_union, estimate_intersection):
+                with pytest.raises(ValueError):
+                    estimate(a, b)
 
 
 def test_twin_test_checks_compatibility_before_size_filter():
