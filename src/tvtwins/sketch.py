@@ -10,9 +10,11 @@ two sketches' value sets counts the shared values, and the union is the count
 of distinct values.  When one is full, the k-th smallest value of the two
 together is read by a merge of their sorted values from the top down, which
 reads only the other sketch's values below a full one's largest.  The twin
-test skips that merge when k values of the two lie below a bound safely under
-the threshold hash a twin needs: the k-th smallest then lies below it too, so
-the pair is no twin, whatever the merge would read.
+test skips that merge when k distinct values of the two lie below a bound
+safely under the threshold hash a twin needs: the k-th smallest then lies below
+it too, so the pair is no twin, whatever the merge would read.  It counts them
+with one bisection of one sketch and a walk up the other that stops at the
+bound or at the k-th value.
 
 :func:`build_sketches` sketches a whole table of sets, such as a round's
 neighbourhoods, and hashes each distinct ID once for all of them;
@@ -230,9 +232,10 @@ def sketch_d_twin_test(
     threshold hash.  If at least k distinct values of the two sketches lie
     below a bound set a relative 1e-9 and two units under that threshold, so
     that float rounding cannot matter, r_k does too and the pair is rejected
-    without the merge of :func:`estimate_union`: two bisections and one
-    intersection of a prefix.  Every other pair is decided by the estimator,
-    so this filter changes no decision either.
+    without the merge of :func:`estimate_union`: one bisection of a's values,
+    then a walk up b's that adds those a lacks and stops at the bound or once
+    k are counted.  Every other pair is decided by the estimator, so this
+    filter changes no decision either.
     """
     if adj not in (0, 1):
         raise ValueError("adj must be 0 or 1")
@@ -245,9 +248,16 @@ def sketch_d_twin_test(
         need = max(1, (size_a + size_b - 2 * adj - d + 1) // 2)
         top = size_a + size_b - need + 0.5
         bound = int((k - 1) / top * _HASH_SPACE * (1 - 1e-9)) - 2
-        below_a, below_b = bisect_left(a.mins, bound), bisect_left(b.mins, bound)
-        below = below_a + below_b  # a value both sketches hold counts twice
-        if below >= k and below - len(a.values.intersection(b.mins[:below_b])) >= k:
+        # The distinct values below the bound: a's, then b's that a lacks,
+        # counted only until k of them are found.
+        distinct = bisect_left(a.mins, bound)
+        values = a.values
+        for x in b.mins:
+            if x >= bound or distinct >= k:
+                break
+            if x not in values:
+                distinct += 1
+        if distinct >= k:
             return False
         common = int(estimate_intersection(a, b) + 0.5)
     else:  # estimate_intersection over estimate_union's exact under-full count, inlined

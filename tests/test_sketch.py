@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tvtwins import SketchParams, sketch
+from tvtwins import ProblemParams, RunConfig, Simulation, SketchParams, generate_random
+from tvtwins import protocol, sketch
+from tvtwins.graph import TwinPlant
 from tvtwins.sketch import (
     NeighbourhoodSketch,
     build_sketch,
@@ -495,6 +497,57 @@ def test_threshold_filter_skips_the_estimator_only_for_far_pairs():
         assert sketch_d_twin_test(c, c, 0, 0)
         assert sketch_d_twin_test(c, build_sketch(range(101), sp), 0, 1)
         assert len(calls) == 2
+
+
+def test_threshold_filter_counts_each_value_below_the_bound_once():
+    # k = 4 and d = 0 put the bound between 2**58 and 2**61 for these sizes:
+    # the values up to 5 lie below it, those from 2**63 up above it.
+    def sk(*values, size=100):
+        return NeighbourhoodSketch(values, size, 4, 0)
+
+    high = (2**63, 2**63 + 1, 2**63 + 2)
+    cases = [
+        # a's own values below the bound already number k.
+        (sk(1, 2, 3, 4), sk(5, *high), False),
+        (sk(1, 2, 3, 4), sk(5, size=1), False),
+        # b's values interleave with a's, and the shared 3 counts once: k distinct.
+        (sk(1, 3, 5, high[0]), sk(2, 3, *high[:2]), False),
+        (sk(1, 3, 5, high[0]), sk(2, 3, size=2), False),
+        # One more value shared leaves k - 1 distinct: the estimator decides.
+        (sk(1, 3, 5, high[0]), sk(3, 5, *high[:2]), True),
+        (sk(1, 3, 5, high[0]), sk(3, 5, size=2), True),
+    ]
+    for a, b, estimated in cases:
+        for x, y in ((a, b), (b, a)):
+            with _counting_estimator() as calls:
+                verdict = sketch_d_twin_test(x, y, 0, 0)
+            assert verdict == _rule(x, y, 0, 0)
+            assert bool(calls) == estimated, (x.mins, y.mins)
+
+
+@pytest.mark.parametrize(
+    "plant, hash_seed, tests, full_tests, estimates",
+    [(None, 1, 15218, 15172, 0), (TwinPlant(0, 1, 0, 4, 0), 0, 14856, 14824, 6)],
+)
+def test_threshold_filter_leaves_the_estimator_few_pairs_of_a_lossy_run(
+    plant, hash_seed, tests, full_tests, estimates
+):
+    # Degrees near 26 against k = 20: nearly every twin test has a full
+    # sketch, and the filter must reject all but the near pairs.  A filter
+    # that stops rejecting keeps every verdict, so only these counts show it.
+    graph = generate_random(50, 12, 0.53, plant=plant, seed=1)
+    config = RunConfig(ProblemParams(4, 2), "sketch", SketchParams(20, 0.5, 0.3, hash_seed))
+    full = []
+    twin_test = protocol.sketch_d_twin_test
+
+    def counted(a, b, adj, d):
+        full.append(a.full or b.full)
+        return twin_test(a, b, adj, d)
+
+    with _counting_estimator() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "sketch_d_twin_test", counted)
+        Simulation(graph, config).run()
+    assert (len(full), sum(full), len(calls)) == (tests, full_tests, estimates)
 
 
 def test_full_regime_decisions_mostly_agree():
