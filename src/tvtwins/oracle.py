@@ -3,17 +3,18 @@
 Everything here works directly on neighbour sets of the full graph, with no
 message passing: it exists so the distributed protocol has an independent
 reference to be checked against.  The decider is the plain set test of
-:func:`is_d_twin`; :func:`all_windows` asks it only about the pairs that share
-a neighbour in a round (a pair without one is no twin by definition) and whose
-degrees differ by at most d (a wider gap alone rules a pair out).  Per round,
-it lists them by a degree-band scan or by the two-hop walk of
-``TemporalGraph.two_hop_reach``, whichever the degree histogram rates cheaper,
-so its cost follows each round's band pairs or wedges, not n**2.
+:func:`is_d_twin`; :func:`all_windows` asks it only about the pairs that a
+prefix filter of exact set-similarity joins (Bayardo, Ma and Srikant, WWW
+2007, with the positional bound of PPJoin, Xiao et al., WWW 2008) cannot rule
+out.  A twin pair with degrees dv <= du <= dv + d shares at least
+tau = max(1, ceil((du + dv - 2 adj - d) / 2)) neighbours, and
+tau >= du - d - 1 and tau >= dv - 1 - d // 2.  So with every neighbour set
+sorted in one global order, the pair's lowest shared neighbour lies in u's
+first d + 2 and in v's first d // 2 + 2 neighbours (the prefix lemma).  Each
+pair is met only through a neighbour in both prefixes, so a round costs at
+most its wedges (the sum of deg**2) plus one sort per node, not n**2.
 """
 
-from bisect import bisect_right
-from collections import Counter
-from itertools import accumulate
 from typing import NamedTuple
 
 from .graph import ProblemParams, TemporalGraph, TwinWindow, twin_windows
@@ -51,50 +52,46 @@ def is_d_twin(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
     return profile.common_count >= 1 and profile.difference <= d
 
 
-# us per all_windows round, walk/band, seed 5, Python 3.11.7, 2-core VM: dense-lossless 1790/1200
-# (W ~21k, B ~1.2k), lossy-long 830/680 (W ~34k, B ~470), sparse-wide 1510/2440 (W ~6.1k, B ~18k).
-_BAND_PAIR_COST = 4
-
-
 def all_windows(graph: TemporalGraph, params: ProblemParams) -> dict[int, set[TwinWindow]]:
     """Every twin window of every node, read from its per-round verdicts by ``twin_windows``.
 
     All valid start instants in [0, p) are reported, including overlapping
     starts of longer runs and windows that straddle the period boundary.  The
     output is symmetric: (v, t0) is listed for u iff (u, t0) is listed for v.
-    Each round, :func:`is_d_twin` decides only the pairs that share a
-    neighbour and whose degrees differ by at most d, listed by the band scan
-    when 4 * B <= W (B pairs at most d apart in degree, W = sum of deg**2) and
-    else by the two-hop walk with a degree filter.
+    Each round, the nodes are visited by (degree, id) and each neighbour set
+    is read as its sorted ranks in that order, rarest neighbour first.  A node
+    probes its first d + 2 ranks against the earlier nodes' first d // 2 + 2.
+    Each pair is weighed once, at its first shared rank, at positions i and j:
+    :func:`is_d_twin` decides it only if the degrees are at most d apart and
+    min(du - i, dv - j), which bounds the shared neighbours, reaches tau.
     """
     p, delta, d = graph.p, params.delta, params.d
     verdicts: dict[int, list[tuple[int, int]]] = {}
     for t in range(p):
-        degree = {v: len(graph.neighbours(v, t)) for v in graph.active_nodes(t)}
-        hist = sorted(Counter(degree.values()).items())
-        ladder, below = [g for g, _ in hist], [0, *accumulate(c for _, c in hist)]
-        # end[g] nodes have degree <= g + d.  B counts each node with every node from its degree
-        # to end[g], less itself and the equal-degree pairs counted twice.
-        end = {g: below[bisect_right(ladder, g + d)] for g in ladder}
-        band = sum(c * (end[g] - below[i]) - c * (c + 1) // 2 for i, (g, c) in enumerate(hist))
-        if _BAND_PAIR_COST * band <= sum(c * g * g for g, c in hist):
-            order = sorted(degree, key=degree.__getitem__)
-            near = {v: graph.neighbours(v, t) for v in order}
-            for i, (u, a) in enumerate(near.items()):
-                for v in order[i + 1 : end[degree[u]]]:
-                    if not a.isdisjoint(near[v]):
+        order = sorted(graph.active_nodes(t), key=lambda v: (len(graph.neighbours(v, t)), v))
+        rank = {v: r for r, v in enumerate(order)}
+        postings: dict[int, list[tuple[int, int, int]]] = {}  # rank -> (degree, node, position)
+        for u in order:
+            near = graph.neighbours(u, t)
+            du = len(near)
+            tokens = sorted(map(rank.__getitem__, near))
+            met = set()
+            for i, w in enumerate(tokens[: d + 2]):
+                # Postings ascend in degree; below du - d the size gap alone exceeds d.
+                for dv, v, j in reversed(postings.get(w, ())):
+                    if dv < du - d:
+                        break
+                    if v in met:
+                        continue
+                    met.add(v)
+                    # At most min(du - i, dv - j) shared; a twin shares tau.
+                    if 2 * min(du - i, dv - j) + d + 2 * (v in near) >= du + dv:
                         x, y = (u, v) if u < v else (v, u)
                         if is_d_twin(graph, x, y, t, d):
                             verdicts.setdefault(u, []).append((v, t))
                             verdicts.setdefault(v, []).append((u, t))
-            continue
-        for u, later in graph.two_hop_reach(t):
-            # Outside sets: |A' Δ B'| >= ||A'| - |B'|| = |deg u - deg v|, so a wider gap is no twin.
-            low, high = degree[u] - d, degree[u] + d
-            for v in later:
-                if low <= degree[v] <= high and is_d_twin(graph, u, v, t, d):
-                    verdicts.setdefault(u, []).append((v, t))
-                    verdicts.setdefault(v, []).append((u, t))
+            for j, w in enumerate(tokens[: d // 2 + 2]):
+                postings.setdefault(w, []).append((du, u, j))
     return {
         v: twin_windows(verdicts[v], p, delta) if v in verdicts else set()
         for v in sorted(graph.nodes)

@@ -1,11 +1,13 @@
-from unittest import mock
+from itertools import combinations, product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvtwins import oracle
-from tvtwins import ProblemParams, TemporalGraph, TwinWindow, all_windows, generate_random
+from tvtwins import (
+    ProblemParams, RunConfig, TemporalGraph, TwinWindow, all_windows, generate_random, run,
+)
 from tvtwins.oracle import is_d_twin, pair_profile
 
 from .conftest import (
@@ -226,14 +228,27 @@ def test_two_hop_reach_sparse_ids_and_wrap():
 @settings(max_examples=80)
 def test_all_windows_equals_all_pairs_scan(g, delta, d):
     params = ProblemParams(delta, d)
-    walk = TemporalGraph.two_hop_reach
-    with mock.patch.object(TemporalGraph, "two_hop_reach", autospec=True, side_effect=walk) as spy:
-        assert all_windows(g, params) == all_pairs_windows(g, params)
-    # Both listings are reached: see how often with --hypothesis-show-statistics.
-    walked = [call.args[1] for call in spy.call_args_list]
-    for t in range(g.p):
-        if g.active_nodes(t):
-            event(f"a round listed by the {'two-hop walk' if t in walked else 'degree band'}")
+    assert all_windows(g, params) == all_pairs_windows(g, params)
+
+
+def _labelled_graphs(n: int, p: int):
+    """Every labelled graph on nodes 0..n-1 in each of p rounds: 2**(p * C(n, 2)) of them."""
+    pairs = list(combinations(range(n), 2))
+    for masks in product(range(1 << len(pairs)), repeat=p):
+        edges = {t: {e for i, e in enumerate(pairs) if m >> i & 1} for t, m in enumerate(masks)}
+        yield TemporalGraph(p=p, nodes=range(n), edges_at=edges)
+
+
+@pytest.mark.parametrize("n, p", [(5, 1), (4, 2)])
+def test_all_windows_on_every_small_graph(n, p):
+    # At n = 5 and d = 0 the probe prefix (d + 2 = 2 ranks) is shorter than a
+    # degree-3 or degree-4 neighbour set, so the prefix filter does reject.
+    for g in _labelled_graphs(n, p):
+        for d in range(n - 2):
+            params = ProblemParams(1, d)
+            expected = all_pairs_windows(g, params)
+            assert all_windows(g, params) == expected
+            assert run(g, RunConfig(params=params)).windows == expected
 
 
 def _count_decisions(monkeypatch) -> list:
@@ -241,14 +256,6 @@ def _count_decisions(monkeypatch) -> list:
     decide = oracle.is_d_twin
     monkeypatch.setattr(oracle, "is_d_twin", lambda *a: calls.append(a) or decide(*a))
     return calls
-
-
-def _count_walks(monkeypatch) -> list:
-    """The rounds at which all_windows lists its pairs by the two-hop walk."""
-    rounds = []
-    walk = TemporalGraph.two_hop_reach
-    monkeypatch.setattr(TemporalGraph, "two_hop_reach", lambda g, t: rounds.append(t) or walk(g, t))
-    return rounds
 
 
 def _ring(n: int) -> TemporalGraph:
@@ -270,63 +277,53 @@ def _complete_bipartite(a: int, b: int) -> TemporalGraph:
     return TemporalGraph(p=3, nodes=range(a + b), edges_at={0: edges})
 
 
-# Per round, all_windows lists its pairs by the degree band when 4 * B <= W,
-# B the pairs at most d apart in degree and W the wedges: on dense rounds.
-# A round where every degree is equal has B = every pair, and takes the walk.
-# DENSE takes the band in every round at d = 1 and at d = 10**18, SPARSE the
-# walk, and in both some pairs in the band share no neighbour.
+# DENSE holds pairs in the degree band that share no neighbour; in SPARSE most
+# pairs share none.
 DENSE = generate_random(30, 3, 0.4, seed=3)
 SPARSE = generate_random(25, 4, 0.1, seed=3)
 
 
+# At d = 0: every same-side pair of K_{8,12} and every leaf pair of a star is a
+# twin; in a matching and a ring every degree is equal, so every pair is in
+# the degree band.
 @pytest.mark.parametrize(
-    "g, walked",
-    [
-        (_complete_bipartite(8, 12), False),
-        (DENSE, False),
-        (_matching(20), True),
-        (_ring(20), True),
-        # At d = 0 the star K_{1,3} has B = 3 leaf pairs and W = 9 + 3 = 12, a
-        # tie that takes the band scan; K_{1,4} has 4 * 6 > 16 + 4 and walks.
-        (_star(3), False),
-        (_star(4), True),
-    ],
+    "g",
+    [_complete_bipartite(8, 12), DENSE, _matching(20), _ring(20), _star(3), _star(4)],
     ids=["k8x12", "dense", "matching", "ring", "star3", "star4"],
 )
-def test_all_windows_picks_the_listing_per_round(monkeypatch, g, walked):
-    rounds = _count_walks(monkeypatch)
+def test_all_windows_picks_the_listing_per_round(g):
     params = ProblemParams(1, 0)
     assert all_windows(g, params) == all_pairs_windows(g, params)
-    assert rounds == (list(range(g.p)) if walked else [])
 
 
 def test_all_windows_decides_only_pairs_with_common_neighbour(monkeypatch):
-    # ... and a degree gap of at most d: a wider gap alone rules a pair out.
+    # ... and a degree gap of at most d, and of those only the pairs the
+    # prefix filter passes: every twin, and far fewer than the band holds.
     calls = _count_decisions(monkeypatch)
-    rounds = _count_walks(monkeypatch)
-    for g, walked in ((SPARSE, True), (DENSE, False)):
+    for g, counts in ((SPARSE, (37, 141, 21)), (DENSE, (83, 329, 0))):
         calls.clear()
-        rounds.clear()
         all_windows(g, ProblemParams(2, 1))
+        decided = {(t, u, v) for _, u, v, t, _ in calls}
         wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
-        near = [(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1]
-        assert sorted((t, u, v) for _, u, v, t, _ in calls) == near
-        assert 0 < len(near) < len(wedges) < g.p * g.n * (g.n - 1) // 2
-        assert rounds == (list(range(g.p)) if walked else [])
+        near = {(t, u, v) for t, u, v in wedges if abs(g.degree(u, t) - g.degree(v, t)) <= 1}
+        twins = {(t, u, v) for t, u, v in near if is_d_twin(g, u, v, t, 1)}
+        assert len(calls) == len(decided)  # each pair once
+        assert twins <= decided < near
+        assert (len(decided), len(near), len(twins)) == counts
+        assert len(near) < len(wedges) < g.p * g.n * (g.n - 1) // 2
 
 
 def test_all_windows_at_huge_d_decides_every_pair_with_common_neighbour(monkeypatch):
-    # The degree band is two bounds, never a range over d.
+    # The degree band, the prefixes and the positional bound are a few
+    # comparisons each, never a range over d.
     calls = _count_decisions(monkeypatch)
-    rounds = _count_walks(monkeypatch)
     params = ProblemParams(2, 10**18)
-    for g, walked in ((SPARSE, True), (DENSE, False)):
+    for g, count in ((SPARSE, 267), (DENSE, 1295)):
         calls.clear()
-        rounds.clear()
         assert all_windows(g, params) == all_pairs_windows(g, params)
         wedges = [(t, u, v) for t in range(g.p) for u, v in _pairs_with_common_neighbour(g, t)]
         assert sorted((t, u, v) for _, u, v, t, _ in calls) == wedges
-        assert rounds == (list(range(g.p)) if walked else [])
+        assert len(wedges) == count
 
 
 def test_all_windows_reports_a_twin_whose_degree_gap_is_d():
