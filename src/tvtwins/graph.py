@@ -26,6 +26,23 @@ class PlantInfeasibleError(ValueError):
     """The requested twin plant cannot be realized on the given node set."""
 
 
+# The largest period and declared node count accepted.  A run's cost grows
+# with p and n even when the file holds one edge (the 2p rounds, the document's
+# node list), so the header is bounded: a two-line file at both limits runs
+# `run`, `oracle` and `compare` in either mode within about 5 s and 500 MB.
+MAX_PERIOD = 100_000
+MAX_NODES = 1 << 17
+
+
+def _size_fault(p: int, n: int) -> str | None:
+    """Why a period p and node count n are too large, or None if they fit."""
+    if p > MAX_PERIOD:
+        return f"period {p} is above the limit {MAX_PERIOD}"
+    if n > MAX_NODES:
+        return f"node count {n} is above the limit {MAX_NODES}"
+    return None
+
+
 def id_width(n: int) -> int:
     """Number of bits needed to encode one node ID when n nodes are declared.
 
@@ -63,6 +80,9 @@ class TemporalGraph:
             n = max(node_set) + 1 if node_set else 1
         if n < 1:
             raise ValueError("declared node count must be positive")
+        fault = _size_fault(p, n)
+        if fault:
+            raise ValueError(fault)
         width = id_width(n)
         for v in node_set:
             if v.bit_length() > width:
@@ -217,7 +237,8 @@ def parse_tel(text: str) -> TemporalGraph:
     Lines end at LF only; a CR, like any other whitespace, separates tokens,
     so CRLF text parses too.  A line whose first non-blank character is '#'
     is a comment, and blank and comment lines may appear anywhere.  The first other line is the header
-    ``p=<int> n=<int>``; every further line is ``t u v`` meaning edge {u, v}
+    ``p=<int> n=<int>``, with p at most ``MAX_PERIOD`` and n at most
+    ``MAX_NODES``; every further line is ``t u v`` meaning edge {u, v}
     is present at round t.  The node set is the union of the declared range
     0..n-1 and all edge endpoints; endpoints beyond n-1 are accepted as long
     as they fit in the ceil(log2 n)-bit ID width derived from the header.
@@ -248,6 +269,9 @@ def parse_tel(text: str) -> TemporalGraph:
         raise TelParseError(line_no, f"period must be positive, got {p}")
     if n < 1:
         raise TelParseError(line_no, f"node count must be positive, got {n}")
+    fault = _size_fault(p, n)
+    if fault:
+        raise TelParseError(line_no, fault)
     width = id_width(n)
     max_id = (1 << width) - 1
 
@@ -350,6 +374,9 @@ def generate_random(
         raise ValueError("period must be positive")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    fault = _size_fault(p, n)
+    if fault:
+        raise ValueError(fault)
 
     rng = random.Random(seed)
     edges_at: dict[int, set[tuple[int, int]]] = {t: set() for t in range(p)}

@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
@@ -134,22 +131,6 @@ def test_run_sketch_mode(capsys, p3_file):
     assert doc["params"]["mode"] == "sketch"
     assert doc["params"]["sketch"]["k"] == 8
     assert windows_of(doc, 1) == [{"peer": 3, "start": 0}]
-
-
-def test_run_needs_no_numpy(capsys, wrap_file, tmp_path):
-    # The package runs on a bare interpreter: block numpy and run sketch mode.
-    argv = ["run", "--input", wrap_file, "--delta", "3", "--d", "0", "--mode", "sketch", "--stats"]
-    bare, here = tmp_path / "bare.json", tmp_path / "here.json"
-    code = (
-        "import sys; sys.modules['numpy'] = None\n"
-        "from tvtwins.cli import main\n"
-        f"sys.exit(main({argv + ['--out', str(bare)]!r}))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(tvtwins.__file__).resolve().parents[1])}
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    assert run_cli(capsys, *argv, "--out", str(here))[0] == 0
-    assert bare.read_bytes() == here.read_bytes()
 
 
 def test_exports_are_the_documented_library():

@@ -12,7 +12,15 @@ from tvtwins import (
     parse_tel,
     serialize_tel,
 )
-from tvtwins.graph import PlantInfeasibleError, TwinPlant, TwinWindow, id_width, twin_windows
+from tvtwins.graph import (
+    MAX_NODES,
+    MAX_PERIOD,
+    PlantInfeasibleError,
+    TwinPlant,
+    TwinWindow,
+    id_width,
+    twin_windows,
+)
 from tvtwins.oracle import pair_profile
 
 from .conftest import WRAP_TEL, structured_graphs, temporal_graphs
@@ -195,6 +203,41 @@ def test_parse_memory_follows_edges_not_period():
             tracemalloc.stop()
 
     assert peak(64) < 2 * peak(1)
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        ("p=100000000 n=2", "period 100000000 is above the limit 100000"),
+        ("p=2000000 n=4", "period 2000000 is above the limit 100000"),
+        ("p=1 n=4000000", "node count 4000000 is above the limit 131072"),
+        ("p=1 n=1000000000000", "node count 1000000000000 is above the limit 131072"),
+    ],
+)
+def test_header_past_the_limits_fails_at_line_1(header, reason):
+    # Rejected before any per-round or per-node table is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TelParseError) as err:
+            parse_tel(f"{header}\n0 0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.line_no, err.value.reason) == (1, reason)
+    assert peak < 100_000
+
+
+def test_size_limits_are_inclusive_in_every_constructor():
+    g = parse_tel(f"p={MAX_PERIOD} n={MAX_NODES}\n0 0 1\n")
+    assert (g.p, g.n) == (MAX_PERIOD, MAX_NODES)
+    with pytest.raises(ValueError, match=f"period {MAX_PERIOD + 1} is above the limit"):
+        TemporalGraph(p=MAX_PERIOD + 1, nodes={0, 1})
+    with pytest.raises(ValueError, match=f"node count {MAX_NODES + 1} is above the limit"):
+        TemporalGraph(p=1, nodes={0, 1}, n=MAX_NODES + 1)
+    with pytest.raises(ValueError, match=f"period {MAX_PERIOD + 1} is above the limit"):
+        generate_random(2, MAX_PERIOD + 1, 0.0)
+    with pytest.raises(ValueError, match=f"node count {MAX_NODES + 1} is above the limit"):
+        generate_random(MAX_NODES + 1, 1, 0.0)
 
 
 def test_periodicity(p3):

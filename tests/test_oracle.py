@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from tvtwins import oracle
 from tvtwins import (
-    ProblemParams, RunConfig, TemporalGraph, TwinWindow, all_windows, generate_random, run,
+    ProblemParams, RunConfig, SketchParams, TemporalGraph, TwinWindow, all_windows,
+    generate_random, run,
 )
 from tvtwins.oracle import is_d_twin, pair_profile
 
@@ -239,16 +240,22 @@ def _labelled_graphs(n: int, p: int):
         yield TemporalGraph(p=p, nodes=range(n), edges_at=edges)
 
 
-@pytest.mark.parametrize("n, p", [(5, 1), (4, 2)])
-def test_all_windows_on_every_small_graph(n, p):
+@pytest.mark.parametrize(
+    "n, p, ds, sketch", [(5, 1, range(5), True), (4, 2, range(2), False)], ids=["5-1", "4-2"]
+)
+def test_all_windows_on_every_small_graph(n, p, ds, sketch):
     # At n = 5 and d = 0 the probe prefix (d + 2 = 2 ranks) is shorter than a
     # degree-3 or degree-4 neighbour set, so the prefix filter does reject.
+    # At k = n every sketch is under-full, so the sketch route is lossless.
+    lossless = SketchParams(k=n, epsilon=0.2, nu=0.1, hash_seed=1)
     for g in _labelled_graphs(n, p):
-        for d in range(n - 2):
+        for d in ds:
             params = ProblemParams(1, d)
             expected = all_pairs_windows(g, params)
             assert all_windows(g, params) == expected
             assert run(g, RunConfig(params=params)).windows == expected
+            if sketch:
+                assert run(g, RunConfig(params, "sketch", lossless)).windows == expected
 
 
 def _count_decisions(monkeypatch) -> list:

@@ -77,12 +77,22 @@ def test_complete_bipartite_round_meets_the_phase2_bound():
     result = run(g, RunConfig(params))
     assert result.stats.max_phase2_bits == result.stats.phase2_bound_bits == 120
     assert (result.stats.deliveries, result.stats.messages) == (384, 40)
+    # W = 5 bits per ID or degree.  Round 0: 20 entries of 2W = 10 bits, 200
+    # bits.  Round 3: each a-side node forwards 12 entries (120 bits), each
+    # b-side node 8 (80 bits): 200 + 8*120 + 12*80 = 2120.
+    assert result.stats.total_bits == 2120
     for side in (a_side, b_side):
         for v in side:
             assert result.windows[v] == {TwinWindow(w, 0) for w in side if w != v}
     assert result.windows == all_windows(g, params)
     sp = SketchParams(k=13, epsilon=0.2, nu=0.1, hash_seed=1)
     assert run(g, RunConfig(params, "sketch", sp)).windows == result.windows
+    # At k = 10 each entry adds its sketch, 16 + W + 64*min(deg, k) bits: an
+    # a-side message is 12 * (10 + 16 + 5 + 64*8) = 6516 bits, a b-side one
+    # 8 * (10 + 16 + 5 + 64*10) = 5368: 200 + 8*6516 + 12*5368 = 116744.
+    sp = SketchParams(k=10, epsilon=0.2, nu=0.1, hash_seed=0)
+    stats = run(g, RunConfig(params, "sketch", sp)).stats
+    assert (stats.max_phase2_bits, stats.total_bits) == (6516, 116744)
 
 
 def test_config_validation():
