@@ -380,11 +380,12 @@ def generate_random(
 
     rng = random.Random(seed)
     edges_at: dict[int, set[tuple[int, int]]] = {t: set() for t in range(p)}
-    for t in range(p):
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < edge_prob:
-                    edges_at[t].add((u, v))
+    if edge_prob > 0.0:  # at 0 no draw adds an edge, and nothing else reads rng
+        for t in range(p):
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < edge_prob:
+                        edges_at[t].add((u, v))
 
     if plant is not None:
         _apply_plant(edges_at, n, p, plant)

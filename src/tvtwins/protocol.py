@@ -146,16 +146,21 @@ class NodeState:
                 if degree + twin_degree - 2 * adj - 2 * common <= d:
                     detected.add(twin_id)
         elif counts:
-            own_size = own.exact_size
+            own_size, own_bits = own.exact_size, own.bitmap
             for twin_id, sketch in counts.items():
                 adj = 1 if twin_id in reporters else 0
                 # Size filter: the twin test's common count is at most the
                 # smaller size, so its difference is at least the size gap
                 # less 2*adj; a pair with a larger gap is no twin, and no
                 # sketch values need comparing.
-                if abs(own_size - sketch.exact_size) - 2 * adj <= d and sketch_d_twin_test(
-                    own, sketch, adj, d
-                ):
+                if abs(own_size - sketch.exact_size) - 2 * adj > d:
+                    continue
+                # Bitmap filter, lossless sketches only: the XOR's popcount is
+                # at most the values' symmetric difference (see the twin test).
+                if own_bits is not None and (bits := sketch.bitmap) is not None:
+                    if (own_bits ^ bits).bit_count() - 2 * adj > d:
+                        continue
+                if sketch_d_twin_test(own, sketch, adj, d):
                     detected.add(twin_id)
         self._evaluated_rounds += 1
 

@@ -16,18 +16,25 @@ it too, so the pair is no twin, whatever the merge would read.  It counts them
 with one bisection of one sketch and a walk up the other that stops at the
 bound or at the k-th value.
 
+A lossless sketch (under-full, one value per member) also carries a 64-bit
+bitmap of its values' top six bits.  The XOR of two bitmaps has no more bits
+set than the sketches have values apart, so a caller may reject a pair on that
+popcount alone, as the bitmap filter of exact set-similarity joins does.
+
 :func:`build_sketches` sketches a whole table of sets, such as a round's
 neighbourhoods, and hashes each distinct ID once for all of them;
 :func:`build_sketch` is its one-set case.  :func:`sketch_d_twin_test` decides
 a pair from two sketches and leaves the size filter, which needs only the
-exact sizes, to its caller.
+exact sizes, and the bitmap filter to its caller.
 """
 
 import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 _HASH_SPACE = 2.0**64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,8 +103,9 @@ class NeighbourhoodSketch:
     :func:`build_sketches` passes the set it hashed, and a sketch built directly
     derives it from ``mins``, which must then be strictly increasing, at most
     k long and within [0, 2**64), or ``ValueError`` is raised.  ``full`` tells
-    whether the sketch may have discarded hash values; an under-full one is
-    lossless.
+    whether the sketch may have discarded hash values.  ``bitmap``, the OR of
+    ``1 << (h >> 58)`` over the values, is set only for a lossless sketch, one
+    under-full with ``len(mins) == exact_size``; any other sketch has ``None``.
     """
 
     mins: tuple[int, ...]
@@ -105,6 +113,7 @@ class NeighbourhoodSketch:
     k: int
     hash_seed: int
     values: frozenset[int] = field(default=None, compare=False, repr=False)
+    bitmap: int | None = field(default=None, compare=False, repr=False)
     full: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -119,6 +128,8 @@ class NeighbourhoodSketch:
             if mins and not (0 <= mins[0] and mins[-1] <= _MASK):
                 raise ValueError("sketch values must lie in [0, 2**64)")
             object.__setattr__(self, "values", frozenset(mins))
+            if len(mins) < self.k and len(mins) == self.exact_size:
+                object.__setattr__(self, "bitmap", reduce(or_, (1 << (x >> 58) for x in mins), 0))
         object.__setattr__(self, "full", len(self.mins) >= self.k)
 
 
@@ -128,11 +139,13 @@ def build_sketches(table, params: SketchParams) -> dict:
     once, however many of the sets hold it."""
     base = _mix64(params.hash_seed & _MASK)
     hashes = {}  # _mix64(i ^ base) per ID, its steps inlined: no call per ID
+    bits = {}  # the ID's bitmap bit, 1 << (top six bits of its hash)
     for i in set().union(*table.values()):
         x = ((i ^ base) + _GOLDEN) & _MASK
         x = (x ^ (x >> 30)) * _MIX_1 & _MASK
         x = (x ^ (x >> 27)) * _MIX_2 & _MASK
-        hashes[i] = x ^ (x >> 31)
+        hashes[i] = x = x ^ (x >> 31)
+        bits[i] = 1 << (x >> 58)
     k, hash_seed = params.k, params.hash_seed
     sketches = {}
     for key, ids in table.items():
@@ -143,7 +156,9 @@ def build_sketches(table, params: SketchParams) -> dict:
         if len(mins) > k:
             del mins[k:]
             values = frozenset(mins)
-        sketches[key] = NeighbourhoodSketch(tuple(mins), len(ids), k, hash_seed, values)
+        lossless = len(mins) < k and len(mins) == len(ids)
+        bitmap = reduce(or_, map(bits.__getitem__, ids), 0) if lossless else None
+        sketches[key] = NeighbourhoodSketch(tuple(mins), len(ids), k, hash_seed, values, bitmap)
     return sketches
 
 
@@ -223,6 +238,12 @@ def sketch_d_twin_test(
     abs(|A| - |B|) - 2*adj, and a pair whose sizes alone put it above d is
     no twin.  That is the size filter of exact set-similarity joins; the
     caller applies it before calling, and it changes no decision.
+
+    When both sketches are lossless, with value sets Va and Vb, the common
+    count is |Va ∩ Vb| and the difference |Va Δ Vb| - 2*adj.  Each bit set in
+    ``a.bitmap ^ b.bitmap`` comes from a distinct value of Va Δ Vb, so a pair
+    whose popcount less 2*adj exceeds d is no twin: the caller's bitmap
+    filter, applied after the size filter, changes no decision either.
 
     When a sketch is full the verdict is monotone in r_k, the k-th smallest
     value the two sketches hold: a larger r_k means a smaller union estimate

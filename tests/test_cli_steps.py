@@ -202,6 +202,10 @@ STEPS = [
          err=("error: node count 1000000000 is above the limit 131072",)),
     Step("gen-long-period", tv("gen --n 4 --p 1000000000 --prob 0"), 5, 2,
          err=("error: period 1000000000 is above the limit 100000",)),
+    # At probability 0 the generator makes no draw, so a graph at the node
+    # limit costs what its edges cost, not one draw per node pair.
+    Step("gen-prob0-node-limit", tv("gen --n 131072 --p 1 --prob 0"), 5,
+         out=("p=1 n=131072\n",)),
 ]
 
 

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvtwins import (
@@ -359,3 +359,92 @@ def test_plant_contract_property(n, p, prob, diff, seed):
         profile = pair_profile(g, 0, 1, (plant.start + i) % p)
         assert profile.common_count >= 1
         assert profile.difference == diff
+
+
+# Tokens a hostile or broken writer might put where a number belongs: huge,
+# negative, or not plain decimal (some of which int() still accepts).
+_ODD_NUMBERS = st.one_of(
+    st.integers(min_value=MAX_NODES, max_value=2**80).map(str),
+    st.integers(min_value=-50, max_value=0).map(str),
+    st.sampled_from(["0x1f", "1e3", "1.5", "two", "3_0", "+2", "٣", "", "1 2", "p=2", "#7"]),
+)
+
+
+@st.composite
+def _mutated_tel(draw):
+    """A valid .tel text from ``serialize_tel``, then one to three mutations:
+    a line dropped, duplicated or swapped with another; a token dropped,
+    duplicated, swapped or replaced by an odd number; or the header moved
+    later or given twice."""
+    lines = serialize_tel(draw(temporal_graphs())).split("\n")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(lines)))
+        tokens = lines[i].split()
+        kind = draw(st.sampled_from(["drop", "dup", "swap", "header-late", "header-twice"]
+                                    + ["token-drop", "token-dup", "token-swap", "number"] * 2))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            j = min(j, len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "header-late":
+            lines.insert(j, lines.pop(0))
+        elif kind == "header-twice":
+            lines.insert(j, lines[0])
+        elif tokens:
+            k = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            if kind == "token-drop":
+                del tokens[k]
+            elif kind == "token-dup":
+                tokens.insert(k, tokens[k])
+            elif kind == "token-swap":
+                m = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+                tokens[k], tokens[m] = tokens[m], tokens[k]
+            else:  # a header token keeps its "p=" or "n=", an edge token is replaced whole
+                prefix = tokens[k][:2] if tokens[k][1:2] == "=" else ""
+                tokens[k] = prefix + draw(_ODD_NUMBERS)
+            lines[i] = " ".join(tokens)
+        if not lines:
+            lines.append("")
+    return "\n".join(lines)
+
+
+def _has_content(lines) -> bool:
+    return any(line.split() and line.split()[0][0] != "#" for line in lines)
+
+
+@given(_mutated_tel())
+@example("0 0 1\np=2 n=3\n")  # header late: the first line is no header
+@example("p=2 n=3\n0 0 1\np=2 n=3\n")  # header twice
+@example("\n\np=2 n=-3\n0 0 1\n")  # a bad header after blank lines
+@example("p=2 n=3\n0 0 1\n1 0 2\n0 1 0\n")  # the same edge twice in a round
+@example("p=2 n=3\n0 0 1\n0 1 99999999999999999999\n")  # huge ID
+@example("p=2 n=3\n0 0 ٣\n")  # a non-ASCII decimal digit: int() reads 3, which is in width
+@settings(max_examples=300)
+def test_a_mutated_text_parses_or_fails_at_the_first_bad_line(text):
+    # A text either parses, and then round-trips through serialize_tel, or
+    # fails at some line L: every line before L is good (that prefix parses,
+    # or holds no header when L is the header line) and line L is bad (the
+    # text cut after it fails with the same error).
+    try:
+        g = parse_tel(text)
+    except TelParseError as err:
+        lines = text.split("\n")
+        bad = err.line_no
+        if bad == 0:
+            assert not _has_content(lines) and "missing header" in err.reason
+            return
+        with pytest.raises(TelParseError) as cut_after:
+            parse_tel("\n".join(lines[:bad]))
+        assert str(cut_after.value) == str(err)
+        before = "\n".join(lines[: bad - 1])
+        if _has_content(lines[: bad - 1]):
+            parse_tel(before)
+        else:
+            with pytest.raises(TelParseError, match="line 0: missing header"):
+                parse_tel(before)
+    else:
+        assert parse_tel(serialize_tel(g)) == g

@@ -133,19 +133,24 @@ def test_exact_end_of_round_requires_echoed_own_entry(forwarded):
 @pytest.mark.parametrize(
     "own_ids, peer_ids, tested, twin",
     [
-        # Not adjacent, size gap exactly d: tested, and a twin.
+        # Not adjacent, size gap exactly d: both filters pass, tested, a twin.
         ({2}, {2, 3, 4}, [(0, 2)], True),
-        # Adjacent (1 reports to 0), size gap d + 2: adjacency may lower the
-        # difference by 2, so the pair is still tested.
-        ({1, 2}, {0, 2, 3, 4, 5, 6}, [(1, 2)], False),
-        # Not adjacent, size gap d + 1: the sizes decide, with no test.
+        # Not adjacent, size gap d + 1: the size filter rejects, with no test.
         ({2}, {2, 3, 4, 5}, [], False),
+        # Adjacent (1 reports to 0), size gap d + 2: adjacency may lower the
+        # difference by 2, so the size filter passes; but 0 and 1 also lie in
+        # the symmetric difference, 6 values with 6 bits set, and 6 - 2 > d:
+        # the bitmap filter rejects, with no test.
+        ({1, 2}, {0, 2, 3, 4, 5, 6}, [], False),
+        # Adjacent, symmetric difference {0, 1, 4, 5} with 4 bits set: 4 - 2
+        # is d, so both filters pass, tested, and a twin.
+        ({1, 2, 3, 4}, {0, 2, 3, 5}, [(1, 2)], True),
     ],
 )
 def test_sketch_size_filter_boundary(monkeypatch, own_ids, peer_ids, tested, twin):
     # Node 0 hears candidate 1 from forwarder 2 at d = 2; the node rejects
-    # the pair without calling the twin test only when the size gap less
-    # 2*adj exceeds d.
+    # the pair without calling the twin test only when the size gap, or the
+    # popcount of the two lossless sketches' bitmap XOR, less 2*adj exceeds d.
     calls = []
     twin_test = protocol.sketch_d_twin_test
     monkeypatch.setattr(

@@ -527,13 +527,14 @@ def test_threshold_filter_counts_each_value_below_the_bound_once():
 
 @pytest.mark.parametrize(
     "plant, hash_seed, tests, full_tests, estimates",
-    [(None, 1, 15218, 15172, 0), (TwinPlant(0, 1, 0, 4, 0), 0, 14856, 14824, 6)],
+    [(None, 1, 15172, 15172, 0), (TwinPlant(0, 1, 0, 4, 0), 0, 14824, 14824, 6)],
 )
 def test_threshold_filter_leaves_the_estimator_few_pairs_of_a_lossy_run(
     plant, hash_seed, tests, full_tests, estimates
 ):
-    # Degrees near 26 against k = 20: nearly every twin test has a full
-    # sketch, and the filter must reject all but the near pairs.  A filter
+    # Degrees near 26 against k = 20: nearly every sketch is full, the bitmap
+    # filter rejects the pairs of two lossless ones before the call, and the
+    # threshold filter must reject all but the near full pairs.  A filter
     # that stops rejecting keeps every verdict, so only these counts show it.
     graph = generate_random(50, 12, 0.53, plant=plant, seed=1)
     config = RunConfig(ProblemParams(4, 2), "sketch", SketchParams(20, 0.5, 0.3, hash_seed))
@@ -548,6 +549,70 @@ def test_threshold_filter_leaves_the_estimator_few_pairs_of_a_lossy_run(
         mp.setattr(protocol, "sketch_d_twin_test", counted)
         Simulation(graph, config).run()
     assert (len(full), sum(full), len(calls)) == (tests, full_tests, estimates)
+
+
+def test_only_a_lossless_sketch_has_a_bitmap():
+    sp = params(k=8)
+    lossless = build_sketch({3, 5, 8}, sp)
+    assert lossless.bitmap == sum({1 << (x >> 58) for x in lossless.mins})
+    assert "bitmap" not in repr(lossless)
+    direct = NeighbourhoodSketch(lossless.mins, 3, 8, 0)
+    assert direct.bitmap == lossless.bitmap
+    # Full, built or direct; a shared hash value (IDs equal modulo 2**64);
+    # and a direct sketch whose exact size exceeds its value count.
+    for sk in (
+        build_sketch(range(8), sp),
+        build_sketch(range(100), sp),
+        NeighbourhoodSketch(tuple(range(8)), 8, 8, 0),
+        build_sketch({1, 1 + 2**64}, sp),
+        NeighbourhoodSketch(lossless.mins, 4, 8, 0),
+    ):
+        assert sk.bitmap is None
+
+
+@given(
+    st.sets(_ids, max_size=14),
+    st.sets(_ids, max_size=14),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=30),
+)
+@example({1, 2}, {0, 2, 3, 4, 5, 6}, 0, 1, 0)  # adjacent, size gap d + 2: only the bitmap rejects
+@settings(max_examples=200)
+def test_twin_test_rejects_every_pair_the_bitmap_filter_rejects(a_ids, b_ids, seed, adj, below):
+    # The node rejects a pair of lossless sketches whose bitmap XOR has more
+    # than d + 2*adj bits set without calling the twin test; that changes no
+    # decision only if the twin test itself rejects every such pair.
+    sp = SketchParams(k=16, epsilon=0.2, nu=0.1, hash_seed=seed)
+    a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
+    assume(a.bitmap is not None and b.bitmap is not None)
+    popcount = (a.bitmap ^ b.bitmap).bit_count()
+    assert popcount <= len(a.values ^ b.values)
+    excess = popcount - 2 * adj
+    assume(excess >= 1)
+    d = excess - 1 - below % excess  # every d from 0 to excess - 1
+    assert not sketch_d_twin_test(a, b, adj, d)
+    assert not sketch_d_twin_test(b, a, adj, d)
+
+
+def test_bitmap_filter_leaves_the_twin_test_few_pairs_of_a_lossless_run():
+    # k = n keeps every sketch lossless, so the bitmap filter runs on every
+    # pair that passes the size filter; 4,858 of them reach the twin test
+    # without it.  It keeps every verdict, so only this count shows it.
+    graph = generate_random(40, 6, 0.3, plant=TwinPlant(0, 1, 0, 4, 2), seed=1)
+    config = RunConfig(ProblemParams(2, 2), "sketch", SketchParams(40, 0.2, 0.1, 1))
+    verdicts = []
+    twin_test = protocol.sketch_d_twin_test
+
+    def counted(a, b, adj, d):
+        verdicts.append(twin_test(a, b, adj, d))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "sketch_d_twin_test", counted)
+        windows = Simulation(graph, config).run().windows
+    assert (len(verdicts), sum(verdicts)) == (12, 8)
+    assert windows == Simulation(graph, RunConfig(ProblemParams(2, 2))).run().windows
 
 
 def test_full_regime_decisions_mostly_agree():
