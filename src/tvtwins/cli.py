@@ -72,7 +72,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_graph(path: str) -> TemporalGraph:
-    return parse_tel(Path(path).read_text(encoding="utf-8"))
+    # Lines end as in text mode, where CRLF and a lone CR read as LF.  UTF-8
+    # never uses either byte inside a character, so the bytes can be translated.
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        bad = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise TelParseError(line_no, bad) from None
+    return parse_tel(text)
 
 
 def _sketch_params(args) -> SketchParams | None:

@@ -7,6 +7,7 @@ indistinguishable.
 """
 
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -245,10 +246,15 @@ def parse_tel(text: str) -> TemporalGraph:
 
     An edge line is checked in this order, and the first failed check is
     raised as a ``TelParseError`` naming the line: three tokens, all
-    integers, the round in [0, p), both IDs non-negative, no self-loop, both
-    IDs within the width (the first token that is not is named), and no
-    repeat of an edge already given for that round.
+    integers, each plain ASCII decimal (``-?[0-9]+``, the first token that is
+    not is named), the round in [0, p), both IDs non-negative, no self-loop,
+    both IDs within the width (the first token that is not is named), and no
+    repeat of an edge already given for that round.  Header values must be
+    plain ASCII decimal too.
     """
+    # int() also reads "+2", "3_0" and non-ASCII digits; only a text that
+    # holds one of those characters needs its tokens checked one by one.
+    plain = text.isascii() and "_" not in text and "+" not in text
     lines = enumerate(text.split("\n"), start=1)
     for line_no, line in lines:
         tokens = line.split()
@@ -265,6 +271,8 @@ def parse_tel(text: str) -> TemporalGraph:
         n = int(tokens[1][2:])
     except ValueError:
         raise TelParseError(line_no, f"non-integer header value in {line.strip()!r}") from None
+    if not plain:
+        _check_decimal(line_no, (tokens[0][2:], tokens[1][2:]))
     if p < 1:
         raise TelParseError(line_no, f"period must be positive, got {p}")
     if n < 1:
@@ -286,6 +294,8 @@ def parse_tel(text: str) -> TemporalGraph:
             if len(tokens) != 3:
                 raise TelParseError(line_no, f"expected 't u v', got {line.strip()!r}") from None
             raise TelParseError(line_no, f"non-integer token in {line.strip()!r}") from None
+        if not plain:
+            _check_decimal(line_no, tokens)
         u, v = (a, b) if a < b else (b, a)
         # With the pair ordered, one chain passes every valid edge; _edge_fault
         # names the first check that failed.
@@ -301,6 +311,16 @@ def parse_tel(text: str) -> TemporalGraph:
     for edges in edges_at.values():
         nodes.update(chain.from_iterable(edges))
     return TemporalGraph(p=p, nodes=nodes, edges_at=edges_at, n=n)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _check_decimal(line_no: int, tokens) -> None:
+    """Raise ``TelParseError`` naming the first token that is not plain ASCII decimal."""
+    for token in tokens:
+        if not _DECIMAL.fullmatch(token):
+            raise TelParseError(line_no, f"{token!r} is not a plain ASCII decimal integer")
 
 
 def _edge_fault(t: int, u: int, v: int, p: int, n: int, width: int) -> str:

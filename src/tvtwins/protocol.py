@@ -155,7 +155,7 @@ class NodeState:
                 # sketch values need comparing.
                 if abs(own_size - sketch.exact_size) - 2 * adj > d:
                     continue
-                # Bitmap filter, lossless sketches only: the XOR's popcount is
+                # Bitmap filter, under-full sketches only: the XOR's popcount is
                 # at most the values' symmetric difference (see the twin test).
                 if own_bits is not None and (bits := sketch.bitmap) is not None:
                     if (own_bits ^ bits).bit_count() - 2 * adj > d:

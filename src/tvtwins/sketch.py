@@ -1,25 +1,25 @@
 """Bottom-k (k-minimum-values) sketches of neighbour-ID sets.
 
 A sketch keeps the k smallest 64-bit hash values of a set together with the
-set's exact size.  Two sketches built with the same seed support estimating
-the size of the union of the underlying sets, and from that, in every regime
-by the one inclusion-exclusion formula with the exact sizes, the size of the
-intersection.  When both sketches hold fewer than k values they encode their
-sets' hashes completely and every estimate is exact: one intersection of the
-two sketches' value sets counts the shared values, and the union is the count
-of distinct values.  When one is full, the k-th smallest value of the two
-together is read by a merge of their sorted values from the top down, which
-reads only the other sketch's values below a full one's largest.  The twin
-test skips that merge when k distinct values of the two lie below a bound
-safely under the threshold hash a twin needs: the k-th smallest then lies below
-it too, so the pair is no twin, whatever the merge would read.  It counts them
-with one bisection of one sketch and a walk up the other that stops at the
-bound or at the k-th value.
+set's exact size; distinct IDs hash to distinct values, so an under-full
+sketch, one of fewer than k values, holds one value per member.  Two sketches
+built with the same seed support estimating the size of the union of the
+underlying sets, and from that, in every regime by the one inclusion-exclusion
+formula with the exact sizes, the size of the intersection.  When both are
+under-full every estimate is exact: the union is the count of distinct values
+the two hold.  When one is full, the k-th smallest value of the two together
+is read by a merge of their sorted values from the top down, which reads only
+the other sketch's values below a full one's largest.  The twin test skips
+that merge when k distinct values of the two lie below a bound safely under
+the threshold hash a twin needs: the k-th smallest then lies below it too, so
+the pair is no twin, whatever the merge would read.  It counts them with one
+bisection of one sketch and a walk up the other that stops at the bound or at
+the k-th value.
 
-A lossless sketch (under-full, one value per member) also carries a 64-bit
-bitmap of its values' top six bits.  The XOR of two bitmaps has no more bits
-set than the sketches have values apart, so a caller may reject a pair on that
-popcount alone, as the bitmap filter of exact set-similarity joins does.
+An under-full sketch also carries a 64-bit bitmap of its values' top six bits.
+The XOR of two bitmaps has no more bits set than the sketches have values
+apart, so a caller may reject a pair on that popcount alone, as the bitmap
+filter of exact set-similarity joins does.
 
 :func:`build_sketches` sketches a whole table of sets, such as a round's
 neighbourhoods, and hashes each distinct ID once for all of them;
@@ -101,11 +101,11 @@ class NeighbourhoodSketch:
     hashing or repr.  ``values`` holds the hash values of ``mins`` as a
     frozenset, so that each comparison of two sketches is one set operation;
     :func:`build_sketches` passes the set it hashed, and a sketch built directly
-    derives it from ``mins``, which must then be strictly increasing, at most
-    k long and within [0, 2**64), or ``ValueError`` is raised.  ``full`` tells
-    whether the sketch may have discarded hash values.  ``bitmap``, the OR of
-    ``1 << (h >> 58)`` over the values, is set only for a lossless sketch, one
-    under-full with ``len(mins) == exact_size``; any other sketch has ``None``.
+    derives it from ``mins``, which must then be min(exact_size, k) long,
+    strictly increasing and within [0, 2**64), or ``ValueError`` is raised.
+    ``full`` tells whether the sketch may have discarded hash values.
+    ``bitmap``, the OR of ``1 << (h >> 58)`` over the values, is set exactly
+    when the sketch is under-full; a full one has ``None``.
     """
 
     mins: tuple[int, ...]
@@ -119,16 +119,16 @@ class NeighbourhoodSketch:
     def __post_init__(self):
         if self.values is None:
             # Only a directly built sketch is checked: build_sketches' hold by
-            # construction, and estimate_union relies on all three properties.
-            mins = self.mins
-            if len(mins) > self.k:
-                raise ValueError(f"a sketch of capacity {self.k} holds {len(mins)} values")
+            # construction, and the estimators rely on all three properties.
+            mins, size, k = self.mins, self.exact_size, self.k
+            if len(mins) != min(size, k):
+                raise ValueError(f"a sketch of size {size}, capacity {k} holds {len(mins)} values")
             if any(x >= y for x, y in zip(mins, mins[1:])):
                 raise ValueError("sketch values must be strictly increasing")
             if mins and not (0 <= mins[0] and mins[-1] <= _MASK):
                 raise ValueError("sketch values must lie in [0, 2**64)")
             object.__setattr__(self, "values", frozenset(mins))
-            if len(mins) < self.k and len(mins) == self.exact_size:
+            if len(mins) < k:
                 object.__setattr__(self, "bitmap", reduce(or_, (1 << (x >> 58) for x in mins), 0))
         object.__setattr__(self, "full", len(self.mins) >= self.k)
 
@@ -136,11 +136,16 @@ class NeighbourhoodSketch:
 def build_sketches(table, params: SketchParams) -> dict:
     """Sketch every ID set of ``table``, a mapping from keys to sets; the
     result maps the same keys to the sketches.  Each distinct ID is hashed
-    once, however many of the sets hold it."""
+    once, however many of the sets hold it.  IDs must lie in [0, 2**64)."""
+    every = set().union(*table.values())
+    # i ^ base and _mix64 are bijections on 64-bit words: distinct IDs in range
+    # hash to distinct values, so an under-full sketch holds its whole set.
+    if every and (min(every) < 0 or max(every) > _MASK):
+        raise ValueError("node IDs must lie in [0, 2**64)")
     base = _mix64(params.hash_seed & _MASK)
     hashes = {}  # _mix64(i ^ base) per ID, its steps inlined: no call per ID
     bits = {}  # the ID's bitmap bit, 1 << (top six bits of its hash)
-    for i in set().union(*table.values()):
+    for i in every:
         x = ((i ^ base) + _GOLDEN) & _MASK
         x = (x ^ (x >> 30)) * _MIX_1 & _MASK
         x = (x ^ (x >> 27)) * _MIX_2 & _MASK
@@ -156,8 +161,7 @@ def build_sketches(table, params: SketchParams) -> dict:
         if len(mins) > k:
             del mins[k:]
             values = frozenset(mins)
-        lossless = len(mins) < k and len(mins) == len(ids)
-        bitmap = reduce(or_, map(bits.__getitem__, ids), 0) if lossless else None
+        bitmap = reduce(or_, map(bits.__getitem__, ids), 0) if len(mins) < k else None
         sketches[key] = NeighbourhoodSketch(tuple(mins), len(ids), k, hash_seed, values, bitmap)
     return sketches
 
@@ -213,10 +217,7 @@ def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> flo
     """Estimate |A ∩ B| as |A| + |B| - :func:`estimate_union`, with the exact
     set sizes, clamped to the feasible range [0, min(|A|, |B|)].
 
-    Exact when both sketches are under-full, since the union is then exact;
-    the upper clamp still matters there when IDs equal modulo 2**64 share a
-    hash value, so that a set's exact size exceeds its sketch's count of
-    values.
+    Exact when both sketches are under-full, since the union is then exact.
     """
     est = max(a.exact_size + b.exact_size - estimate_union(a, b), 0)
     return float(min(est, a.exact_size, b.exact_size))
@@ -239,7 +240,7 @@ def sketch_d_twin_test(
     no twin.  That is the size filter of exact set-similarity joins; the
     caller applies it before calling, and it changes no decision.
 
-    When both sketches are lossless, with value sets Va and Vb, the common
+    When both sketches are under-full, with value sets Va and Vb, the common
     count is |Va ∩ Vb| and the difference |Va Δ Vb| - 2*adj.  Each bit set in
     ``a.bitmap ^ b.bitmap`` comes from a distinct value of Va Δ Vb, so a pair
     whose popcount less 2*adj exceeds d is no twin: the caller's bitmap
@@ -280,10 +281,7 @@ def sketch_d_twin_test(
                 distinct += 1
         if distinct >= k:
             return False
-        common = int(estimate_intersection(a, b) + 0.5)
-    else:  # estimate_intersection over estimate_union's exact under-full count, inlined
-        shared = len(a.values & b.values)
-        common = min(size_a + size_b - len(a.mins) - len(b.mins) + shared, size_a, size_b)
+    common = int(estimate_intersection(a, b) + 0.5)
     if common < 1:
         return False
     return size_a + size_b - 2 * adj - 2 * common <= d

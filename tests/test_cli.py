@@ -101,6 +101,20 @@ def test_run_parse_error_diagnostic(capsys, tmp_path):
     assert "line 2" in err and "self-loop" in err
 
 
+def test_input_lines_end_at_lf_crlf_or_a_lone_cr(capsys, tmp_path):
+    # The CLI reads a file's line ends as text mode does, so each of the three
+    # gives the same document, and an error the same line number.
+    path = tmp_path / "ends.tel"
+    outputs = []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(WRAP_TEL.replace("\n", end).encode())
+        outputs.append(run_cli(capsys, "run", "--input", str(path), "--delta", "3", "--d", "0"))
+        path.write_bytes(f"p=1 n=2{end}# c{end}0 1 1{end}".encode())
+        code, _, err = run_cli(capsys, "run", "--input", str(path), "--delta", "1", "--d", "0")
+        assert (code, err) == (2, "error: line 3: self-loop at node 1\n")
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+
+
 def test_sketch_flags_warn_in_exact_mode(capsys, p3_file):
     code, out, err = run_cli(
         capsys, "run", "--input", p3_file, "--delta", "1", "--d", "0", "--k", "8"

@@ -52,8 +52,9 @@ def tv(command: str) -> tuple[str, ...]:
 # has a state yet acts in two of the 2p rounds.  ring.tel: a 2-regular ring,
 # every degree equal, so at d=0 the degree band holds all 2*10^8 node pairs
 # against 80,000 wedges.  always.tel: nodes 0 and 1 share node 2 in every
-# round.  large.tel: 200,000 edge lines.  The last four hold one edge under a
-# header past the limits of graph.MAX_PERIOD and graph.MAX_NODES.
+# round.  large.tel: 200,000 edge lines.  The next four hold one edge under a
+# header past the limits of graph.MAX_PERIOD and graph.MAX_NODES.  not-utf8.tel
+# has a byte that is not UTF-8 on line 3.
 FILES = {
     "wedge.tel": "p=50 n=20000\n0 0 1\n0 1 2\n",
     "matching.tel": "p=50 n=20000\n" + "".join(f"0 {v} {v + 1}\n" for v in range(0, 20000, 2)),
@@ -65,6 +66,7 @@ FILES = {
     "many-nodes.tel": "p=1 n=4000000\n0 0 1\n",
     "huge-n.tel": "p=1 n=1000000000000\n0 0 1\n",
     "period-2e6.tel": "p=2000000 n=4\n0 0 1\n",
+    "not-utf8.tel": b"p=2 n=3\n0 0 1\n1 1 \xff2\n",
 }
 # Files made by `gen`; a --verify plant that fails exits 3 and fails the fixture.
 # prefix.tel has degrees near 20, above the oracle's prefixes of d + 2 and
@@ -84,7 +86,7 @@ GENERATED = {
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_steps")
     for name, text in FILES.items():
-        (path / name).write_text(text)
+        (path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     for name, command in GENERATED.items():
         child = bare(path, *tv(f"{command} --out {name}"))
         assert child.returncode == 0, child.stderr
@@ -198,6 +200,9 @@ STEPS = [
     *_hostile("many-nodes", "node count 4000000 is above the limit 131072"),
     *_hostile("huge-n", "node count 1000000000000 is above the limit 131072"),
     *_hostile("period-2e6", "period 2000000 is above the limit 100000"),
+    # Undecodable bytes fail at their line, like any other fault of the file.
+    Step("not-utf8-run", tv("run --input not-utf8.tel --delta 1 --d 0"), 5, 2,
+         err=("error: line 3: byte 0xff is not UTF-8",)),
     Step("gen-many-nodes", tv("gen --n 1000000000 --p 1 --prob 0"), 5, 2,
          err=("error: node count 1000000000 is above the limit 131072",)),
     Step("gen-long-period", tv("gen --n 4 --p 1000000000 --prob 0"), 5, 2,

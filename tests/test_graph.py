@@ -157,6 +157,30 @@ def test_lines_end_at_lf_only(sep):
     assert (err.value.line_no, err.value.reason) == (5, "self-loop at node 2")
 
 
+# int() reads each of these tokens as a number.
+@pytest.mark.parametrize(
+    "text, line_no, token",
+    [
+        ("p=+2 n=3\n", 1, "+2"),
+        ("p=2 n=3_0\n", 1, "3_0"),
+        ("p=2 n=3\n0 0 +1\n", 2, "+1"),
+        ("p=2 n=3\n0 1_0 2\n", 2, "1_0"),
+        ("p=2 n=3\n0 0 \u0663\n", 2, "\u0663"),  # Arabic-Indic three
+    ],
+    ids=["header-plus", "header-underscore", "edge-plus", "edge-underscore", "edge-arabic-indic"],
+)
+def test_numbers_are_plain_ascii_decimal(text, line_no, token):
+    with pytest.raises(TelParseError) as err:
+        parse_tel(text)
+    reason = f"{token!r} is not a plain ASCII decimal integer"
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+def test_a_comment_may_hold_any_character():
+    text = "# Z\u00e4hlung \u0663, +1, 3_0\np=2 n=3\n  # \u0663\n0 0 1\n"
+    assert parse_tel(text) == parse_tel("p=2 n=3\n0 0 1\n")
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(TelParseError) as err:
         parse_tel("# c\np=2 n=2\n0 0 1\n1 1 1\n")
@@ -422,7 +446,7 @@ def _has_content(lines) -> bool:
 @example("\n\np=2 n=-3\n0 0 1\n")  # a bad header after blank lines
 @example("p=2 n=3\n0 0 1\n1 0 2\n0 1 0\n")  # the same edge twice in a round
 @example("p=2 n=3\n0 0 1\n0 1 99999999999999999999\n")  # huge ID
-@example("p=2 n=3\n0 0 ٣\n")  # a non-ASCII decimal digit: int() reads 3, which is in width
+@example("p=2 n=3\n0 0 ٣\n")  # a non-ASCII decimal digit, which int() reads as 3: fails at line 2
 @settings(max_examples=300)
 def test_a_mutated_text_parses_or_fails_at_the_first_bad_line(text):
     # A text either parses, and then round-trips through serialize_tel, or

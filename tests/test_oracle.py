@@ -247,15 +247,26 @@ def test_all_windows_on_every_small_graph(n, p, ds, sketch):
     # At n = 5 and d = 0 the probe prefix (d + 2 = 2 ranks) is shorter than a
     # degree-3 or degree-4 neighbour set, so the prefix filter does reject.
     # At k = n every sketch is under-full, so the sketch route is lossless.
+    # At delta = 1 the oracle's windows are its per-round verdicts, which
+    # prop1_check must give for every pair with a common neighbour.
     lossless = SketchParams(k=n, epsilon=0.2, nu=0.1, hash_seed=1)
     for g in _labelled_graphs(n, p):
+        linked = [
+            (u, v, t)
+            for t in range(p)
+            for u, v in combinations(range(n), 2)
+            if g.neighbours(u, t) & g.neighbours(v, t)
+        ]
         for d in ds:
             params = ProblemParams(1, d)
             expected = all_pairs_windows(g, params)
-            assert all_windows(g, params) == expected
+            oracle_windows = all_windows(g, params)
+            assert oracle_windows == expected
             assert run(g, RunConfig(params=params)).windows == expected
             if sketch:
                 assert run(g, RunConfig(params, "sketch", lossless)).windows == expected
+            for u, v, t in linked:
+                assert prop1_check(g, u, v, t, d) == (TwinWindow(v, t) in oracle_windows[u])
 
 
 def _count_decisions(monkeypatch) -> list:

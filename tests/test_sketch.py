@@ -64,13 +64,22 @@ def test_build_deterministic():
 
 def test_build_sketches_hashes_each_id_as_mix64():
     # build_sketches inlines _mix64's steps; the function is the reference,
-    # for IDs below and above 2**64 and seeds taken modulo 2**64.
-    ids = {0, 1, 7, 2**40, 2**64 - 1, 2**64 + 3, 2**70 + 11, 3**50}
+    # for IDs across [0, 2**64) and seeds taken modulo 2**64.
+    ids = {0, 1, 7, 2**40, 2**63 + 3, 3**40, 2**64 - 2, 2**64 - 1}
     for seed in (0, 5, -1, 2**64 + 5):
         base = sketch._mix64(seed & sketch._MASK)
-        built = build_sketches({"a": ids, "b": {1, 2**65}}, params(k=len(ids), seed=seed))
+        built = build_sketches({"a": ids, "b": {1, 2**63}}, params(k=len(ids), seed=seed))
         assert built["a"].mins == tuple(sorted({sketch._mix64(i ^ base) for i in ids}))
-        assert built["b"].mins == tuple(sorted({sketch._mix64(i ^ base) for i in (1, 2**65)}))
+        assert built["b"].mins == tuple(sorted({sketch._mix64(i ^ base) for i in (1, 2**63)}))
+
+
+def test_build_sketches_refuses_ids_outside_the_hash_space():
+    # Only IDs in [0, 2**64) are sure to hash to distinct values.
+    for ids in ({-1}, {2**64}, {0, 1, 2**64 + 1}):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            build_sketch(ids, params())
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            build_sketches({"a": {3}, "b": ids}, params())
 
 
 def test_capacity_below_two_rejected():
@@ -93,17 +102,18 @@ def test_value_set_holds_the_live_values():
 
 
 def test_directly_built_sketch_checks_its_values():
-    # estimate_union reads a full sketch's values as sorted, distinct, at most
-    # k of them and 64-bit; a directly built sketch that breaks one is refused.
-    for mins, k, message in (
-        ((5, 3), 4, "strictly increasing"),
-        ((3, 3), 4, "strictly increasing"),
-        ((1, 2, 3), 2, "capacity 2 holds 3"),
-        ((-1, 4), 4, r"\[0, 2\*\*64\)"),
-        ((4, 2**64), 4, r"\[0, 2\*\*64\)"),
+    # The estimators read a sketch's values as min(size, k) of them, sorted,
+    # distinct and 64-bit; a directly built sketch that breaks one is refused.
+    for mins, size, k, message in (
+        ((5, 3), 2, 4, "strictly increasing"),
+        ((3, 3), 2, 4, "strictly increasing"),
+        ((1, 2, 3), 9, 2, "size 9, capacity 2 holds 3 values"),
+        ((1, 2), 3, 4, "size 3, capacity 4 holds 2 values"),
+        ((-1, 4), 2, 4, r"\[0, 2\*\*64\)"),
+        ((4, 2**64), 2, 4, r"\[0, 2\*\*64\)"),
     ):
         with pytest.raises(ValueError, match=message):
-            NeighbourhoodSketch(mins, 9, k, 0)
+            NeighbourhoodSketch(mins, size, k, 0)
     edge = NeighbourhoodSketch((0, 2**64 - 1), 2, 2, 0)
     assert edge.full and edge.values == {0, 2**64 - 1}
     # Given its value set, as build_sketch gives it, a sketch is built as before.
@@ -127,24 +137,6 @@ def test_union_exact_even_when_merged_exceeds_capacity():
     a = build_sketch(set(range(0, 7)), params(k=8))
     b = build_sketch(set(range(100, 107)), params(k=8))
     assert estimate_union(a, b) == 14.0
-
-
-def test_ids_equal_modulo_hash_space_share_a_value():
-    # IDs equal modulo 2**64 hash alike, so a's exact size (3) exceeds its
-    # count of hash values (2).  The estimates count hash values, not IDs.
-    a = build_sketch({1, 1 + 2**64, 7}, params(k=8))
-    b = build_sketch({1, 9}, params(k=8))
-    assert (a.exact_size, len(a.mins)) == (3, 2)
-    assert estimate_union(a, b) == 3.0
-    assert estimate_intersection(a, b) == 2.0
-    assert sketch_d_twin_test(a, b, 0, 1) is True
-    # Inclusion-exclusion gives 1 + 3 - 1 = 3 here; the clamp to the smaller
-    # set's size keeps the intersection at 1, so the difference stays 2.
-    c = build_sketch({1}, params(k=8))
-    e = build_sketch({1, 1 + 2**64, 1 + 2**65}, params(k=8))
-    assert estimate_intersection(c, e) == 1.0
-    assert sketch_d_twin_test(c, e, 0, 1) is False
-    assert sketch_d_twin_test(c, e, 0, 2) is True
 
 
 def test_incompatible_sketches_rejected():
@@ -278,10 +270,10 @@ def test_estimator_sanity(a_ids, b_ids, seed, k):
         assert estimate_union(a, b) == (k - 1) / ((int(merged[k - 1]) + 1) / 2.0**64)
 
 
-# Small IDs overlap often; a few equal others modulo 2**64 and share their hash.
+# Small IDs overlap often; others lie anywhere up to 2**64 - 1.
 _ids = st.one_of(
     st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=5).map(lambda i: i + 2**64),
+    st.integers(min_value=0, max_value=2**64 - 1),
 )
 
 
@@ -296,9 +288,8 @@ _ids = st.one_of(
 @example(2, {0, 1}, {1, 2}, 9, 0, 0)  # estimate 1.69: twins only when rounded half up
 @settings(max_examples=300)
 def test_twin_test_is_the_rounded_intersection_rule(k, a_ids, b_ids, seed, adj, d):
-    # The size filter and the inlined under-full count decide as the rule
-    # stated through estimate_intersection, full sketches and shared hash
-    # values included.
+    # The threshold filter and the one common count decide as the rule stated
+    # through estimate_intersection, full and under-full sketches alike.
     sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=seed)
     a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
     c = int(estimate_intersection(a, b) + 0.5)
@@ -334,7 +325,7 @@ _raw = st.one_of(
 def _sketch_pairs(draw):
     k = draw(st.integers(min_value=2, max_value=30))
     layout = draw(st.sampled_from(["ids", "overlap", "disjoint", "below", "same"]))
-    if layout == "ids":  # through build_sketch, IDs equal modulo 2**64 included
+    if layout == "ids":  # through build_sketch
         sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=draw(st.integers(0, 2**32)))
         return build_sketch(draw(st.sets(_ids, max_size=70)), sp), build_sketch(
             draw(st.sets(_ids, max_size=70)), sp
@@ -374,13 +365,16 @@ def test_union_estimate_is_the_kth_smallest_of_both_sketches(pair):
 @settings(max_examples=50)
 def test_a_table_of_sets_sketches_each_set_alone(table, k):
     # Hashing the table's IDs once for all its sets gives each set the sketch
-    # it has alone, shared and colliding IDs included.
+    # it has alone, shared IDs included.  Each holds min(|set|, k) values, and
+    # a bitmap exactly when it is under-full.
     sp = params(k=k, seed=k)
     sketches = build_sketches(table, sp)
     assert list(sketches) == list(table)
     for key, ids in table.items():
         alone = build_sketch(ids, sp)
         assert sketches[key] == alone and sketches[key].values == alone.values == set(alone.mins)
+        assert len(alone.mins) == min(alone.exact_size, k)
+        assert (alone.bitmap is None) == alone.full == (len(ids) >= k)
 
 
 @given(
@@ -390,14 +384,13 @@ def test_a_table_of_sets_sketches_each_set_alone(table, k):
     st.integers(min_value=0, max_value=1),
     st.integers(min_value=0, max_value=5),
 )
-@example(2, {0, 1, 2, 2**64, 1 + 2**64, 2 + 2**64}, {0, 1, 2}, 0, 0)  # full, size 6 from 3 hashes
-@example(8, {0, 1, 2, 2**64, 1 + 2**64, 2 + 2**64}, {0, 1, 2}, 1, 0)  # under-full, likewise
+@example(2, {0, 1, 2, 3, 4, 5}, {0, 1, 2}, 0, 0)  # full, size gap d + 1
+@example(8, {0, 1, 2, 3, 4, 5}, {0, 1, 2}, 1, 0)  # under-full, size gap d + 1 + 2*adj
 @settings(max_examples=120)
 def test_twin_test_rejects_every_pair_the_size_filter_rejects(k, a_ids, b_ids, adj, below):
     # The node rejects a pair whose size gap less 2*adj exceeds d without
     # calling the twin test; that changes no decision only if the twin test
-    # itself rejects every such pair, full sketches and shared hash values
-    # included.
+    # itself rejects every such pair, full sketches included.
     sp = params(k=k)
     a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
     excess = abs(len(a_ids) - len(b_ids)) - 2 * adj
@@ -429,8 +422,7 @@ def _counting_estimator():
 
 @st.composite
 def _full_pairs(draw):
-    # At least one side has k or more IDs, so it is full unless IDs equal
-    # modulo 2**64 leave it fewer than k distinct hash values.
+    # At least one side has k or more IDs, so it is full.
     k = draw(st.integers(min_value=2, max_value=8))
     a_ids = draw(st.sets(_ids, min_size=k, max_size=3 * k))
     b_ids = draw(st.sets(_ids, max_size=3 * k))
@@ -558,16 +550,16 @@ def test_only_a_lossless_sketch_has_a_bitmap():
     assert "bitmap" not in repr(lossless)
     direct = NeighbourhoodSketch(lossless.mins, 3, 8, 0)
     assert direct.bitmap == lossless.bitmap
-    # Full, built or direct; a shared hash value (IDs equal modulo 2**64);
-    # and a direct sketch whose exact size exceeds its value count.
+    # Full, built or direct.
     for sk in (
         build_sketch(range(8), sp),
         build_sketch(range(100), sp),
         NeighbourhoodSketch(tuple(range(8)), 8, 8, 0),
-        build_sketch({1, 1 + 2**64}, sp),
-        NeighbourhoodSketch(lossless.mins, 4, 8, 0),
     ):
         assert sk.bitmap is None
+    # An under-full sketch that lacks some of its set's values is refused.
+    with pytest.raises(ValueError, match="size 4, capacity 8 holds 3 values"):
+        NeighbourhoodSketch(lossless.mins, 4, 8, 0)
 
 
 @given(
@@ -580,7 +572,7 @@ def test_only_a_lossless_sketch_has_a_bitmap():
 @example({1, 2}, {0, 2, 3, 4, 5, 6}, 0, 1, 0)  # adjacent, size gap d + 2: only the bitmap rejects
 @settings(max_examples=200)
 def test_twin_test_rejects_every_pair_the_bitmap_filter_rejects(a_ids, b_ids, seed, adj, below):
-    # The node rejects a pair of lossless sketches whose bitmap XOR has more
+    # The node rejects a pair of under-full sketches whose bitmap XOR has more
     # than d + 2*adj bits set without calling the twin test; that changes no
     # decision only if the twin test itself rejects every such pair.
     sp = SketchParams(k=16, epsilon=0.2, nu=0.1, hash_seed=seed)
