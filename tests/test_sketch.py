@@ -371,10 +371,10 @@ def test_a_table_of_sets_sketches_each_set_alone(table, k):
     sketches = build_sketches(table, sp)
     assert list(sketches) == list(table)
     for key, ids in table.items():
-        alone = build_sketch(ids, sp)
-        assert sketches[key] == alone and sketches[key].values == alone.values == set(alone.mins)
-        assert len(alone.mins) == min(alone.exact_size, k)
-        assert (alone.bitmap is None) == alone.full == (len(ids) >= k)
+        built, alone = sketches[key], build_sketch(ids, sp)
+        assert built == alone and built.values == alone.values == set(alone.mins)
+        assert built.bitmap == alone.bitmap and len(built.mins) == min(built.exact_size, k)
+        assert (built.bitmap is None) == built.full == (len(ids) >= k)
 
 
 @given(
