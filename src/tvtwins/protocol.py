@@ -6,19 +6,20 @@ record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
 entries collected one period earlier.  From them each node fills one table per
 round, counting forwarders per (id, degree) entry within d of its own degree
 (in sketch mode keeping each named node's granted sketch), and at the round's
-end takes out its own echoed entry and records the twins among the rest.
+end takes out its own echoed entry and records the twins among the rest.  A
+sketch-mode node reads no field of a sketch: it hands its own and its
+candidates' to ``sketch_d_twin_test``, which decides them all at once.
 The verdicts for t are final at round p+t, so a window inside the period is
 known once its last round is evaluated; ``finalize`` reads every window,
 including those that straddle the period boundary, from the verdicts.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .graph import TwinWindow, twin_windows
 # build_sketch is not called here (a node reads its own sketch from its echoed
 # phase-2 entry); it stays bound because perfbench's tracer wraps it here.
-from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test
+from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test, wire_bits
 
 
 class ProtocolError(RuntimeError):
@@ -35,14 +36,11 @@ class Message:
 
 
 def message_bits(msg: Message, width: int) -> int:
-    """Logical message size: IDs and degrees are width-bit fields, and a sketch,
-    in its only wire form, is a 16-bit count, 64 bits per live value and a
-    width-bit exact size: at most 16 + width + 64k bits at capacity k."""
+    """Logical message size: IDs and degrees are width-bit fields, and each
+    sketch costs what :func:`wire_bits` charges it."""
     bits = len(msg.entries) * 2 * width
     if msg.sketches:
-        sketches = msg.sketches.values()
-        live = sum(map(len, map(attrgetter("mins"), sketches)))
-        bits += len(sketches) * (16 + width) + 64 * live
+        bits += wire_bits(msg.sketches.values(), width)
     return bits
 
 
@@ -138,30 +136,15 @@ class NodeState:
         # The raw degrees overcount by one each when the pair is adjacent;
         # adjacency is visible in the phase-1 history.
         reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
-        detected = self.twins_at[t] = set()
         d = self.d
         if exact:
+            detected = self.twins_at[t] = set()
             for (twin_id, twin_degree), common in counts.items():
                 adj = 1 if twin_id in reporters else 0
                 if degree + twin_degree - 2 * adj - 2 * common <= d:
                     detected.add(twin_id)
-        elif counts:
-            own_size, own_bits = own.exact_size, own.bitmap
-            for twin_id, sketch in counts.items():
-                adj = 1 if twin_id in reporters else 0
-                # Size filter: the twin test's common count is at most the
-                # smaller size, so its difference is at least the size gap
-                # less 2*adj; a pair with a larger gap is no twin, and no
-                # sketch values need comparing.
-                if abs(own_size - sketch.exact_size) - 2 * adj > d:
-                    continue
-                # Bitmap filter, under-full sketches only: the XOR's popcount is
-                # at most the values' symmetric difference (see the twin test).
-                if own_bits is not None and (bits := sketch.bitmap) is not None:
-                    if (own_bits ^ bits).bit_count() - 2 * adj > d:
-                        continue
-                if sketch_d_twin_test(own, sketch, adj, d):
-                    detected.add(twin_id)
+        else:
+            self.twins_at[t] = sketch_d_twin_test(own, counts, reporters, d) if counts else set()
         self._evaluated_rounds += 1
 
     def finalize(self) -> set[TwinWindow]:
@@ -169,11 +152,12 @@ class NodeState:
 
         The verdicts for t are final at round p+t, so a window (peer, s) inside
         the period could be read at round p+s+delta-1; one that straddles the
-        period boundary needs the verdicts of both ends of the period.
+        period boundary needs the verdicts of both ends of the period.  Only
+        the slots of rounds with an edge are read: no other holds a verdict.
         """
         if not self._evaluated_rounds or self._evaluated_rounds < len(self.neighbour_reports):
             raise ProtocolError(
                 f"finalize needs every round with an edge evaluated, saw {self._evaluated_rounds}"
             )
-        verdicts = ((peer, t) for t, twins in enumerate(self.twins_at) for peer in twins)
+        verdicts = ((peer, t) for t in self.neighbour_reports for peer in self.twins_at[t])
         return twin_windows(verdicts, self.p, self.delta)

@@ -18,14 +18,15 @@ the k-th value.
 
 An under-full sketch also carries a 64-bit bitmap of its values' top six bits.
 The XOR of two bitmaps has no more bits set than the sketches have values
-apart, so a caller may reject a pair on that popcount alone, as the bitmap
-filter of exact set-similarity joins does.
+apart, so the twin test may reject a pair on that popcount alone, as the
+bitmap filter of exact set-similarity joins does.
 
 :func:`build_sketches` sketches a whole table of sets, such as a round's
 neighbourhoods, and hashes each distinct ID once for all of them;
-:func:`build_sketch` is its one-set case.  :func:`sketch_d_twin_test` decides
-a pair from two sketches and leaves the size filter, which needs only the
-exact sizes, and the bitmap filter to its caller.
+:func:`build_sketch` is its one-set case.  :func:`sketch_d_twin_test` makes
+one node's whole decision for one round, from its own sketch and those of
+its candidates, and :func:`wire_bits` prices sketches on the wire, so no
+other module reads a sketch's fields.
 """
 
 import math
@@ -34,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import attrgetter, or_
 
 _HASH_SPACE = 2.0**64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -171,6 +172,13 @@ def build_sketch(ids, params: SketchParams) -> NeighbourhoodSketch:
     return build_sketches({None: ids}, params)[None]
 
 
+def wire_bits(sketches, width: int) -> int:
+    """Logical size of a collection of sketches in their only wire form: each
+    is a 16-bit count, 64 bits per live value and a width-bit exact size, so
+    at most 16 + width + 64k bits at capacity k."""
+    return len(sketches) * (16 + width) + 64 * sum(map(len, map(attrgetter("mins"), sketches)))
+
+
 def _check_compatible(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> None:
     if a.k != b.k:
         raise ValueError(f"sketch capacities differ: {a.k} vs {b.k}")
@@ -224,64 +232,72 @@ def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> flo
 
 
 def sketch_d_twin_test(
-    a: NeighbourhoodSketch, b: NeighbourhoodSketch, adj: int, d: int
-) -> bool:
-    """Decide the twin inequality from sketches of two raw neighbourhoods.
+    own: NeighbourhoodSketch, candidates: dict, adjacent: set, d: int
+) -> set[int]:
+    """One node's twin decision for one round, from sketches of raw
+    neighbourhoods: the ids of ``candidates``, a mapping from id to sketch,
+    that pass the twin inequality against ``own``, the node's sketch.
 
-    ``adj`` is 1 iff the two nodes are adjacent; it corrects the raw sizes
-    down to outside-neighbourhood sizes.  The estimated intersection is
-    rounded to the nearest integer (half up) and must be at least 1, mirroring
-    the common-neighbour requirement.  In the regime where both sketches are
-    under-full the intersection is an exact count and so is the decision.
+    A candidate in ``adjacent`` has adj = 1, which corrects both raw sizes
+    down by one to outside-neighbourhood sizes; any other has adj = 0.  The
+    intersection of :func:`estimate_intersection`, rounded half up, must be at
+    least 1, mirroring the common-neighbour requirement; it is an exact count,
+    and so is the decision, when both sketches are under-full.  Three filters
+    reject a pair before that estimate, in this order, and none changes a
+    decision; capacities and hash seeds are checked on each pair past the first two.
 
-    The intersection is that of :func:`estimate_intersection`, which never
-    exceeds min(|A|, |B|); so the difference is at least
-    abs(|A| - |B|) - 2*adj, and a pair whose sizes alone put it above d is
-    no twin.  That is the size filter of exact set-similarity joins; the
-    caller applies it before calling, and it changes no decision.
+    Size filter: the intersection never exceeds min(|A|, |B|), so the
+    difference is at least abs(|A| - |B|) - 2*adj, and a pair whose sizes
+    alone put it above d is no twin, as in exact set-similarity joins.
 
-    When both sketches are under-full, with value sets Va and Vb, the common
-    count is |Va ∩ Vb| and the difference |Va Δ Vb| - 2*adj.  Each bit set in
-    ``a.bitmap ^ b.bitmap`` comes from a distinct value of Va Δ Vb, so a pair
-    whose popcount less 2*adj exceeds d is no twin: the caller's bitmap
-    filter, applied after the size filter, changes no decision either.
+    Bitmap filter: when both sketches are under-full, with value sets Va and
+    Vb, the common count is |Va ∩ Vb| and the difference |Va Δ Vb| - 2*adj.
+    Each bit set in the XOR of their bitmaps comes from a distinct value of
+    Va Δ Vb, so a pair whose popcount less 2*adj exceeds d is no twin.
 
-    When a sketch is full the verdict is monotone in r_k, the k-th smallest
-    value the two sketches hold: a larger r_k means a smaller union estimate
-    and so a larger intersection.  A twin needs the estimate at most
-    |A| + |B| - need + 1/2, where need = max(1, ceil((|A| + |B| - 2*adj - d)/2))
-    is the least rounded intersection that passes, so r_k must reach a
-    threshold hash.  If at least k distinct values of the two sketches lie
-    below a bound set a relative 1e-9 and two units under that threshold, so
-    that float rounding cannot matter, r_k does too and the pair is rejected
-    without the merge of :func:`estimate_union`: one bisection of a's values,
-    then a walk up b's that adds those a lacks and stops at the bound or once
-    k are counted.  Every other pair is decided by the estimator, so this
-    filter changes no decision either.
+    Threshold filter: when a sketch is full the verdict is monotone in r_k,
+    the k-th smallest value the two sketches hold: a larger r_k means a
+    smaller union estimate and so a larger intersection.  A twin needs the
+    estimate at most |A| + |B| - need + 1/2, where
+    need = max(1, ceil((|A| + |B| - 2*adj - d)/2)) is the least rounded
+    intersection that passes, so r_k must reach a threshold hash.  If at
+    least k distinct values of the two sketches lie below a bound set a
+    relative 1e-9 and two units under that threshold, so that float rounding
+    cannot matter, r_k does too and the pair is rejected without the merge of
+    :func:`estimate_union`: one bisection of own's values, then a walk up the
+    candidate's that adds those own lacks and stops at the bound or once k
+    are counted.
     """
-    if adj not in (0, 1):
-        raise ValueError("adj must be 0 or 1")
-    _check_compatible(a, b)
-    size_a, size_b = a.exact_size, b.exact_size
-    if a.full or b.full:
-        # The threshold filter above: a twin needs a union estimate (k-1)/r_k
-        # of at most `top`, so r_k at least (k-1)/top * 2**64, above `bound`.
-        k = a.k
-        need = max(1, (size_a + size_b - 2 * adj - d + 1) // 2)
-        top = size_a + size_b - need + 0.5
-        bound = int((k - 1) / top * _HASH_SPACE * (1 - 1e-9)) - 2
-        # The distinct values below the bound: a's, then b's that a lacks,
-        # counted only until k of them are found.
-        distinct = bisect_left(a.mins, bound)
-        values = a.values
-        for x in b.mins:
-            if x >= bound or distinct >= k:
-                break
-            if x not in values:
-                distinct += 1
-        if distinct >= k:
-            return False
-    common = int(estimate_intersection(a, b) + 0.5)
-    if common < 1:
-        return False
-    return size_a + size_b - 2 * adj - 2 * common <= d
+    twins = set()
+    size_a, bits_a, full_a = own.exact_size, own.bitmap, own.full
+    for twin_id, b in candidates.items():
+        adj = 1 if twin_id in adjacent else 0
+        if abs(size_a - b.exact_size) - 2 * adj > d:
+            continue
+        if bits_a is not None and (bits_b := b.bitmap) is not None:
+            if (bits_a ^ bits_b).bit_count() - 2 * adj > d:
+                continue
+        _check_compatible(own, b)
+        size_b = b.exact_size
+        if full_a or b.full:
+            # A twin needs a union estimate (k-1)/r_k of at most `top`, so
+            # r_k at least (k-1)/top * 2**64, above `bound`.
+            k = own.k
+            need = max(1, (size_a + size_b - 2 * adj - d + 1) // 2)
+            top = size_a + size_b - need + 0.5
+            bound = int((k - 1) / top * _HASH_SPACE * (1 - 1e-9)) - 2
+            # The distinct values below the bound: own's, then the
+            # candidate's that own lacks, counted only until k are found.
+            distinct = bisect_left(own.mins, bound)
+            values = own.values
+            for x in b.mins:
+                if x >= bound or distinct >= k:
+                    break
+                if x not in values:
+                    distinct += 1
+            if distinct >= k:
+                continue
+        common = int(estimate_intersection(own, b) + 0.5)
+        if common >= 1 and size_a + size_b - 2 * adj - 2 * common <= d:
+            twins.add(twin_id)
+    return twins

@@ -1,9 +1,13 @@
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import strategies as st
 
 from tvtwins import ProblemParams, Simulation, TemporalGraph, TwinWindow, generate_random, parse_tel
 from tvtwins.graph import PlantInfeasibleError, TwinPlant, id_width
 from tvtwins.simulator import RunResult
+from tvtwins import sketch
+from tvtwins.sketch import estimate_union, sketch_d_twin_test
 
 # Wrap fixture: pair (0, 1) shares neighbour 2 in every round but picks up an
 # extra distinguishing edge at round 2, so with delta=3, d=0 the only valid
@@ -50,6 +54,26 @@ def adjacent_twins_graph() -> TemporalGraph:
     return TemporalGraph(
         p=1, nodes={0, 1, 2, 3}, edges_at={0: {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}}
     )
+
+
+def sketch_twin(a, b, adj: int, d: int) -> bool:
+    """The sketch twin decision for one pair: a node with sketch ``a`` and its
+    one candidate, id 1, with sketch ``b``, adjacent to it iff ``adj`` is 1."""
+    return sketch_d_twin_test(a, {1: b}, {1} if adj else set(), d) == {1}
+
+
+@contextmanager
+def counting_estimator():
+    """Record the sketch pairs that reach estimate_union while the block runs."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return estimate_union(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketch, "estimate_union", counted)
+        yield calls
 
 
 @st.composite

@@ -308,7 +308,7 @@ SPARSE = generate_random(25, 4, 0.1, seed=3)
     [_complete_bipartite(8, 12), DENSE, _matching(20), _ring(20), _star(3), _star(4)],
     ids=["k8x12", "dense", "matching", "ring", "star3", "star4"],
 )
-def test_all_windows_picks_the_listing_per_round(g):
+def test_all_windows_equals_the_all_pairs_scan(g):
     params = ProblemParams(1, 0)
     assert all_windows(g, params) == all_pairs_windows(g, params)
 

@@ -8,6 +8,7 @@ from tvtwins import (
     RunConfig,
     Simulation,
     SketchParams,
+    TemporalGraph,
     TwinWindow,
     all_windows,
     generate_random,
@@ -17,7 +18,7 @@ from tvtwins.oracle import pair_profile
 from tvtwins.protocol import Message, NodeState, ProtocolError, message_bits
 from tvtwins.sketch import build_sketch
 
-from .conftest import adjacent_twins_graph, path_graph, run_with_snapshots, temporal_graphs
+from .conftest import adjacent_twins_graph, counting_estimator, run_with_snapshots, temporal_graphs
 
 
 def test_send_phase1():
@@ -87,22 +88,18 @@ def test_end_of_round_outside_phase2():
         state.end_of_round(0, 1)
 
 
-def test_sketch_end_of_round_reads_echoed_own_sketch(monkeypatch):
+def test_sketch_end_of_round_reads_echoed_own_sketch():
     # Node 1 on the 3-path 1-2-3: forwarder 2 echoes node 1's entry with its
     # sketch, which node 1 compares with node 3's.  Without the echo it has a
     # candidate and nothing to compare it with, and fails fast.
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     own, peer = build_sketch({2}, sp), build_sketch({2}, sp)
-    calls = []
-    twin_test = protocol.sketch_d_twin_test
-    monkeypatch.setattr(
-        protocol, "sketch_d_twin_test", lambda *a: calls.append(a) or twin_test(*a)
-    )
     state = NodeState(1, p=1, delta=1, d=0, sketch_params=sp)
     state.receive(Message(((2, 2),)), 0)
     state.receive(Message(((3, 1), (1, 1)), {3: peer, 1: own}), 1)
     assert state.common_count == {3: peer, 1: own}
-    state.end_of_round(1, 1)
+    with counting_estimator() as calls:
+        state.end_of_round(1, 1)
     assert state.twins_at[0] == {3}
     assert state.common_count == {}
     assert len(calls) == 1 and calls[0][0] is own and calls[0][1] is peer
@@ -133,37 +130,34 @@ def test_exact_end_of_round_requires_echoed_own_entry(forwarded):
 @pytest.mark.parametrize(
     "own_ids, peer_ids, tested, twin",
     [
-        # Not adjacent, size gap exactly d: both filters pass, tested, a twin.
-        ({2}, {2, 3, 4}, [(0, 2)], True),
-        # Not adjacent, size gap d + 1: the size filter rejects, with no test.
+        # Not adjacent, size gap exactly d: both filters pass, estimated, a twin.
+        ({2}, {2, 3, 4}, [(0, 1)], True),
+        # Not adjacent, size gap d + 1: the size filter rejects, with no estimate.
         ({2}, {2, 3, 4, 5}, [], False),
         # Adjacent (1 reports to 0), size gap d + 2: adjacency may lower the
         # difference by 2, so the size filter passes; but 0 and 1 also lie in
         # the symmetric difference, 6 values with 6 bits set, and 6 - 2 > d:
-        # the bitmap filter rejects, with no test.
+        # the bitmap filter rejects, with no estimate.
         ({1, 2}, {0, 2, 3, 4, 5, 6}, [], False),
         # Adjacent, symmetric difference {0, 1, 4, 5} with 4 bits set: 4 - 2
-        # is d, so both filters pass, tested, and a twin.
-        ({1, 2, 3, 4}, {0, 2, 3, 5}, [(1, 2)], True),
+        # is d, so both filters pass, estimated, and a twin.
+        ({1, 2, 3, 4}, {0, 2, 3, 5}, [(0, 1)], True),
     ],
 )
-def test_sketch_size_filter_boundary(monkeypatch, own_ids, peer_ids, tested, twin):
-    # Node 0 hears candidate 1 from forwarder 2 at d = 2; the node rejects
-    # the pair without calling the twin test only when the size gap, or the
-    # popcount of the two lossless sketches' bitmap XOR, less 2*adj exceeds d.
-    calls = []
-    twin_test = protocol.sketch_d_twin_test
-    monkeypatch.setattr(
-        protocol, "sketch_d_twin_test", lambda *a: calls.append(a[2:]) or twin_test(*a)
-    )
+def test_sketch_size_filter_boundary(own_ids, peer_ids, tested, twin):
+    # Node 0 hears candidate 1 from forwarder 2 at d = 2; ``tested`` lists
+    # the (node, candidate) pairs whose sketches reach the estimator, which
+    # the pair does unless the size gap, or the popcount of the two lossless
+    # sketches' bitmap XOR, less 2*adj exceeds d.
     sp = SketchParams(k=8, epsilon=0.2, nu=0.1)
     state = NodeState(0, p=1, delta=1, d=2, sketch_params=sp)
     for sender in sorted(own_ids):
         state.receive(Message(((sender, 1),)), 0)
     sketches = {1: build_sketch(peer_ids, sp), 0: build_sketch(own_ids, sp)}
     state.receive(Message(((1, len(peer_ids)), (0, len(own_ids))), sketches), 1)
-    state.end_of_round(1, len(own_ids))
-    assert calls == tested
+    with counting_estimator() as calls:
+        state.end_of_round(1, len(own_ids))
+    assert calls == [(sketches[u], sketches[v]) for u, v in tested]
     assert (state.twins_at[0] == {1}) is twin
 
 
@@ -211,8 +205,8 @@ def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     # common_count holds the round's candidates in both modes, with full and
     # under-full sketches alike, and the node's own echoed entry; the exact
     # route keeps only those whose degree lies within d of the node's own
-    # (the sketch route filters by size in end_of_round), each under its
-    # reported degree, which is the true one.
+    # (the sketch route's size filter runs inside sketch_d_twin_test), each
+    # under its reported degree, which is the true one.
     g = generate_random(30, 4, 0.3, seed=2)
     sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
     fullness = {build_sketch(g.neighbours(v, t), sp).full for t in range(g.p) for v in g.active_nodes(t)}
@@ -240,6 +234,36 @@ def test_sketch_candidates_equal_exact_candidates(monkeypatch):
     assert all(v in named for (v, _), named in seen["sketch"].items())
     exact, sketch = (sum(map(len, seen[mode].values())) for mode in ("exact", "sketch"))
     assert 1000 < exact < sketch
+
+
+def test_sketch_run_decides_each_node_round_in_one_twin_test_call(monkeypatch):
+    # perfbench's tracer times the sketch decision under this one name, so a
+    # run must call it exactly once for each node-round with candidates,
+    # with all of them, never for one without, and record what it returns.
+    g = generate_random(30, 4, 0.3, seed=2)
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1)
+    calls, named_rounds = [], []
+    twin_test = protocol.sketch_d_twin_test
+    evaluate = NodeState.end_of_round
+
+    def counted(own, candidates, adjacent, d):
+        calls.append((set(candidates), twin_test(own, candidates, adjacent, d)))
+        return calls[-1][1]
+
+    def check(state, round_no, degree):
+        named = set(state.common_count) - {state.node_id}
+        before = len(calls)
+        evaluate(state, round_no, degree)
+        assert len(calls) - before == (1 if named else 0)
+        if named:
+            named_rounds.append(named)
+            assert calls[-1] == (named, state.twins_at[round_no - state.p])
+
+    monkeypatch.setattr(protocol, "sketch_d_twin_test", counted)
+    monkeypatch.setattr(NodeState, "end_of_round", check)
+    result = run(g, RunConfig(ProblemParams(1, 1), "sketch", sp))
+    assert len(calls) == len(named_rounds) > 50
+    assert any(twins for _, twins in calls) and any(result.windows.values())
 
 
 def test_run_broken_when_candidate_unnamed():
@@ -277,6 +301,28 @@ def test_finalize_one_round_short_of_the_engine_raises(wrap_graph):
     with pytest.raises(ProtocolError):
         sim.states[0].finalize()
     assert sim.states[3].finalize() == run(wrap_graph, config).windows[3]
+
+
+class _NoScan(list):
+    """A ``twins_at`` that may be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("finalize iterated every slot of twins_at")
+
+
+def test_finalize_reads_only_the_rounds_with_an_edge():
+    # Edges at rounds 1 and 4 of 6: 0 and 1 share 2 at both (d-twins at d = 1,
+    # 3 lies only in N(0) at round 4).  finalize reads the verdicts of those
+    # rounds by index, never the other slots, whatever p is.
+    g = TemporalGraph(
+        p=6, nodes=range(4), edges_at={1: {(0, 2), (1, 2)}, 4: {(0, 2), (1, 2), (0, 3)}}
+    )
+    sim = Simulation(g, RunConfig(ProblemParams(1, 1)))
+    result = sim.run()
+    assert result.windows[0] == {TwinWindow(1, 1), TwinWindow(1, 4)}
+    for v, state in sim.states.items():
+        state.twins_at = _NoScan(state.twins_at)
+        assert state.finalize() == result.windows[v]
 
 
 def test_adjacent_twins_need_degree_correction():

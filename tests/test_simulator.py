@@ -22,12 +22,13 @@ from tvtwins import (
 )
 from tvtwins.cli import build_result_document, document_json
 from tvtwins.graph import id_width, twin_windows
-from tvtwins.sketch import build_sketch, sketch_d_twin_test
+from tvtwins.sketch import build_sketch
 
 from .conftest import (
     all_pairs_windows,
     path_graph,
     run_with_snapshots,
+    sketch_twin,
     structured_graphs,
     temporal_graphs,
 )
@@ -407,7 +408,7 @@ def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
                 continue
             decisions += 1
             adj = 1 if v in g.neighbours(u, t) else 0
-            if sketch_d_twin_test(sketches[u], sketches[v], adj, d) == (profile.difference <= d):
+            if sketch_twin(sketches[u], sketches[v], adj, d) == (profile.difference <= d):
                 continue
             mismatched += 1
             scale = sp.epsilon * max(g.degree(u, t), g.degree(v, t))

@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,8 +15,9 @@ from tvtwins.sketch import (
     calibrated_capacity,
     estimate_intersection,
     estimate_union,
-    sketch_d_twin_test,
 )
+
+from .conftest import counting_estimator, sketch_twin
 
 
 def params(k=8, seed=0):
@@ -151,12 +151,15 @@ def test_incompatible_sketches_rejected():
                     estimate(a, b)
 
 
-def test_twin_test_checks_compatibility_before_size_filter():
-    # Sizes 1 and 20 alone rule the pair out at d = 0; the mismatch still raises.
+def test_twin_test_checks_compatibility_past_the_size_filter():
+    # Sizes 1 and 20 alone rule the pair out at d = 0, by exact sizes that no
+    # capacity or seed alters; at d = 19 the pair passes the size filter, and
+    # the mismatch raises.
     a = build_sketch({1}, params(k=8, seed=0))
     for b in (build_sketch(range(20), params(k=16)), build_sketch(range(20), params(k=8, seed=1))):
+        assert not sketch_twin(a, b, 0, 0)
         with pytest.raises(ValueError):
-            sketch_d_twin_test(a, b, 0, 0)
+            sketch_twin(a, b, 0, 19)
 
 
 def test_intersection_identical_sets():
@@ -173,26 +176,20 @@ def test_intersection_disjoint_clamps_to_zero():
 def test_d_twin_test_underfull_path3():
     a = build_sketch({2}, params())  # N(1) on the 3-path
     b = build_sketch({2}, params())  # N(3)
-    assert sketch_d_twin_test(a, b, 0, 0)
+    assert sketch_twin(a, b, 0, 0)
 
 
 def test_d_twin_test_underfull_path4():
     a = build_sketch({2}, params())  # N(1)
     b = build_sketch({2, 4}, params())  # N(3)
-    assert not sketch_d_twin_test(a, b, 0, 0)
-    assert sketch_d_twin_test(a, b, 0, 1)
+    assert not sketch_twin(a, b, 0, 0)
+    assert sketch_twin(a, b, 0, 1)
 
 
 def test_d_twin_test_requires_common_neighbour():
     a = build_sketch({2}, params())
     b = build_sketch({3}, params())
-    assert not sketch_d_twin_test(a, b, 0, 99)
-
-
-def test_d_twin_test_validates_adj():
-    a = build_sketch({2}, params())
-    with pytest.raises(ValueError):
-        sketch_d_twin_test(a, a, 2, 0)
+    assert not sketch_twin(a, b, 0, 99)
 
 
 def test_calibrated_capacity():
@@ -247,7 +244,7 @@ def test_lossless_regime_is_exact(a_ids, b_ids, seed, adj, d):
     assert estimate_union(a, b) == float(len(a_ids | b_ids))
     assert estimate_intersection(a, b) == float(common)
     exact = common >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * common <= d
-    assert sketch_d_twin_test(a, b, adj, d) == exact
+    assert sketch_twin(a, b, adj, d) == exact
 
 
 @given(
@@ -288,13 +285,13 @@ _ids = st.one_of(
 @example(2, {0, 1}, {1, 2}, 9, 0, 0)  # estimate 1.69: twins only when rounded half up
 @settings(max_examples=300)
 def test_twin_test_is_the_rounded_intersection_rule(k, a_ids, b_ids, seed, adj, d):
-    # The threshold filter and the one common count decide as the rule stated
+    # The three filters and the one common count decide as the rule stated
     # through estimate_intersection, full and under-full sketches alike.
     sp = SketchParams(k=k, epsilon=0.2, nu=0.1, hash_seed=seed)
     a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
     c = int(estimate_intersection(a, b) + 0.5)
     rule = c >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * c <= d
-    assert sketch_d_twin_test(a, b, adj, d) == rule
+    assert sketch_twin(a, b, adj, d) == rule
 
 
 def _sorted_union_estimate(a, b):
@@ -388,36 +385,23 @@ def test_a_table_of_sets_sketches_each_set_alone(table, k):
 @example(8, {0, 1, 2, 3, 4, 5}, {0, 1, 2}, 1, 0)  # under-full, size gap d + 1 + 2*adj
 @settings(max_examples=120)
 def test_twin_test_rejects_every_pair_the_size_filter_rejects(k, a_ids, b_ids, adj, below):
-    # The node rejects a pair whose size gap less 2*adj exceeds d without
-    # calling the twin test; that changes no decision only if the twin test
-    # itself rejects every such pair, full sketches included.
+    # The decision rejects a pair whose size gap less 2*adj exceeds d before
+    # it reads a sketch value; that changes no decision only if the rounded
+    # intersection rule rejects every such pair too, full sketches included.
     sp = params(k=k)
     a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
     excess = abs(len(a_ids) - len(b_ids)) - 2 * adj
     assume(excess >= 1)
     d = excess - 1 - below % excess  # every d from 0 to excess - 1
-    assert not sketch_d_twin_test(a, b, adj, d)
-    assert not sketch_d_twin_test(b, a, adj, d)
+    for x, y in ((a, b), (b, a)):
+        assert not _rule(x, y, adj, d)
+        assert not sketch_twin(x, y, adj, d)
 
 
 def _rule(a, b, adj, d):
     """The twin verdict read from estimate_intersection, rounded half up."""
     c = int(estimate_intersection(a, b) + 0.5)
     return c >= 1 and a.exact_size + b.exact_size - 2 * adj - 2 * c <= d
-
-
-@contextmanager
-def _counting_estimator():
-    """Count the twin test's calls of estimate_union while the block runs."""
-    calls = []
-
-    def counted(x, y):
-        calls.append((x, y))
-        return estimate_union(x, y)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sketch, "estimate_union", counted)
-        yield calls
 
 
 @st.composite
@@ -441,8 +425,8 @@ def test_threshold_filter_changes_no_full_sketch_verdict(case):
     # two; it must still give the verdict of the estimator, and every twin
     # must come from the estimator.
     a, b, adj, d = case
-    with _counting_estimator() as calls:
-        verdict = sketch_d_twin_test(a, b, adj, d)
+    with counting_estimator() as calls:
+        verdict = sketch_twin(a, b, adj, d)
     assert verdict == _rule(a, b, adj, d)
     if verdict and (a.full or b.full):
         assert calls
@@ -466,9 +450,9 @@ def test_threshold_filter_defers_at_the_threshold_hash():
         mid = (low + high) // 2
         low, high = (low, mid) if _rule(*_threshold_pair(mid), adj, d) else (mid, high)
     assert abs(high / 2**64 - 7 / 22.5) < 1e-9
-    with _counting_estimator() as calls:
+    with counting_estimator() as calls:
         verdicts = [
-            sketch_d_twin_test(*_threshold_pair(r), adj, d) for r in range(high - 1, high + 2)
+            sketch_twin(*_threshold_pair(r), adj, d) for r in range(high - 1, high + 2)
         ]
     assert verdicts == [False, True, True]
     assert len(calls) == 3
@@ -481,19 +465,20 @@ def test_threshold_filter_skips_the_estimator_only_for_far_pairs():
     b = NeighbourhoodSketch(tuple(range(8, 16)), 100, 8, 0)
     sp = params(k=8)
     c = build_sketch(range(100), sp)
-    with _counting_estimator() as calls:
-        assert not sketch_d_twin_test(a, b, 0, 0)
-        assert not sketch_d_twin_test(a, b, 1, 150)
+    with counting_estimator() as calls:
+        assert not sketch_twin(a, b, 0, 0)
+        assert not sketch_twin(a, b, 1, 150)
         assert calls == []
         # A twin always reaches the estimator: equal sets, and sets one apart.
-        assert sketch_d_twin_test(c, c, 0, 0)
-        assert sketch_d_twin_test(c, build_sketch(range(101), sp), 0, 1)
+        assert sketch_twin(c, c, 0, 0)
+        assert sketch_twin(c, build_sketch(range(101), sp), 0, 1)
         assert len(calls) == 2
 
 
 def test_threshold_filter_counts_each_value_below_the_bound_once():
-    # k = 4 and d = 0 put the bound between 2**58 and 2**61 for these sizes:
-    # the values up to 5 lie below it, those from 2**63 up above it.
+    # d is the size gap, so every pair passes the size filter, and k = 4 puts
+    # the bound between 2**58 and 2**61 for these sizes: the values up to 5
+    # lie below it, those from 2**63 up above it.
     def sk(*values, size=100):
         return NeighbourhoodSketch(values, size, 4, 0)
 
@@ -510,10 +495,11 @@ def test_threshold_filter_counts_each_value_below_the_bound_once():
         (sk(1, 3, 5, high[0]), sk(3, 5, size=2), True),
     ]
     for a, b, estimated in cases:
+        d = abs(a.exact_size - b.exact_size)
         for x, y in ((a, b), (b, a)):
-            with _counting_estimator() as calls:
-                verdict = sketch_d_twin_test(x, y, 0, 0)
-            assert verdict == _rule(x, y, 0, 0)
+            with counting_estimator() as calls:
+                verdict = sketch_twin(x, y, 0, d)
+            assert verdict == _rule(x, y, 0, d)
             assert bool(calls) == estimated, (x.mins, y.mins)
 
 
@@ -524,23 +510,27 @@ def test_threshold_filter_counts_each_value_below_the_bound_once():
 def test_threshold_filter_leaves_the_estimator_few_pairs_of_a_lossy_run(
     plant, hash_seed, tests, full_tests, estimates
 ):
-    # Degrees near 26 against k = 20: nearly every sketch is full, the bitmap
-    # filter rejects the pairs of two lossless ones before the call, and the
-    # threshold filter must reject all but the near full pairs.  A filter
-    # that stops rejecting keeps every verdict, so only these counts show it.
+    # Degrees near 26 against k = 20: nearly every sketch is full, the size
+    # and bitmap filters reject the pairs of two lossless ones before the
+    # compatibility check, and the threshold filter must reject all but the
+    # near full pairs.  A filter that stops rejecting keeps every verdict, so
+    # only these counts show it.
     graph = generate_random(50, 12, 0.53, plant=plant, seed=1)
     config = RunConfig(ProblemParams(4, 2), "sketch", SketchParams(20, 0.5, 0.3, hash_seed))
     full = []
-    twin_test = protocol.sketch_d_twin_test
+    check = sketch._check_compatible
 
-    def counted(a, b, adj, d):
+    def counted(a, b):
         full.append(a.full or b.full)
-        return twin_test(a, b, adj, d)
+        return check(a, b)
 
-    with _counting_estimator() as calls, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "sketch_d_twin_test", counted)
+    with counting_estimator() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketch, "_check_compatible", counted)
         Simulation(graph, config).run()
-    assert (len(full), sum(full), len(calls)) == (tests, full_tests, estimates)
+    # The decision checks each pair past the first two filters once, and
+    # estimate_union checks each pair it gets, a full one here, once more.
+    checked = (len(full) - len(calls), sum(full) - len(calls), len(calls))
+    assert checked == (tests, full_tests, estimates)
 
 
 def test_only_a_lossless_sketch_has_a_bitmap():
@@ -572,9 +562,10 @@ def test_only_a_lossless_sketch_has_a_bitmap():
 @example({1, 2}, {0, 2, 3, 4, 5, 6}, 0, 1, 0)  # adjacent, size gap d + 2: only the bitmap rejects
 @settings(max_examples=200)
 def test_twin_test_rejects_every_pair_the_bitmap_filter_rejects(a_ids, b_ids, seed, adj, below):
-    # The node rejects a pair of under-full sketches whose bitmap XOR has more
-    # than d + 2*adj bits set without calling the twin test; that changes no
-    # decision only if the twin test itself rejects every such pair.
+    # The decision rejects a pair of under-full sketches whose bitmap XOR has
+    # more than d + 2*adj bits set before it compares their values; that
+    # changes no decision only if the rounded intersection rule rejects every
+    # such pair too.
     sp = SketchParams(k=16, epsilon=0.2, nu=0.1, hash_seed=seed)
     a, b = build_sketch(a_ids, sp), build_sketch(b_ids, sp)
     assume(a.bitmap is not None and b.bitmap is not None)
@@ -583,27 +574,28 @@ def test_twin_test_rejects_every_pair_the_bitmap_filter_rejects(a_ids, b_ids, se
     excess = popcount - 2 * adj
     assume(excess >= 1)
     d = excess - 1 - below % excess  # every d from 0 to excess - 1
-    assert not sketch_d_twin_test(a, b, adj, d)
-    assert not sketch_d_twin_test(b, a, adj, d)
+    for x, y in ((a, b), (b, a)):
+        assert not _rule(x, y, adj, d)
+        assert not sketch_twin(x, y, adj, d)
 
 
 def test_bitmap_filter_leaves_the_twin_test_few_pairs_of_a_lossless_run():
     # k = n keeps every sketch lossless, so the bitmap filter runs on every
-    # pair that passes the size filter; 4,858 of them reach the twin test
+    # pair that passes the size filter; 4,858 of them reach the estimator
     # without it.  It keeps every verdict, so only this count shows it.
     graph = generate_random(40, 6, 0.3, plant=TwinPlant(0, 1, 0, 4, 2), seed=1)
     config = RunConfig(ProblemParams(2, 2), "sketch", SketchParams(40, 0.2, 0.1, 1))
-    verdicts = []
+    twins = []
     twin_test = protocol.sketch_d_twin_test
 
-    def counted(a, b, adj, d):
-        verdicts.append(twin_test(a, b, adj, d))
-        return verdicts[-1]
+    def counted(*args):
+        twins.append(twin_test(*args))
+        return twins[-1]
 
-    with pytest.MonkeyPatch.context() as mp:
+    with counting_estimator() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "sketch_d_twin_test", counted)
         windows = Simulation(graph, config).run().windows
-    assert (len(verdicts), sum(verdicts)) == (12, 8)
+    assert (len(calls), sum(map(len, twins))) == (12, 8)
     assert windows == Simulation(graph, RunConfig(ProblemParams(2, 2))).run().windows
 
 
@@ -624,6 +616,6 @@ def test_full_regime_decisions_mostly_agree():
         exact = len(a_ids - b_ids) + len(b_ids - a_ids) <= d
         a = build_sketch(a_ids, sp)
         b = build_sketch(b_ids, sp)
-        if sketch_d_twin_test(a, b, 0, d) == exact:
+        if sketch_twin(a, b, 0, d) == exact:
             agree += 1
     assert agree / trials >= 0.9
