@@ -145,28 +145,6 @@ class TemporalGraph:
     def degree(self, v: int, t: int) -> int:
         return len(self.neighbours(v, t))
 
-    def two_hop_reach(self, t: int):
-        """Yield (u, later) once per node u with an edge at time t, u ascending.
-
-        ``later`` is the set of nodes v > u that share a neighbour with u at t,
-        so each pair with a common neighbour appears once, under its smaller
-        node.  Two-hop reach through each midpoint (a wedge listing, as in Chiba
-        and Nishizeki's subgraph listing): the cost is the sum over midpoints w
-        of deg_t(w)**2 in set unions, not one step per node pair.  t wraps mod p.
-        """
-        table = self._adj[t % self._p]
-        # Every node reached has an edge, so once the nodes below u are done,
-        # whatever remains of u's reach lies above u.
-        done = set()
-        for u in sorted(table):
-            done.add(u)
-            reach = set()
-            for w in table[u]:
-                reach |= table[w]
-                if len(reach) == len(table):
-                    break  # reached every node with an edge: dense rounds stop early
-            yield u, reach - done
-
     def max_degree(self) -> int:
         """Maximum degree over all nodes and all rounds (0 for edgeless graphs)."""
         return self._max_degree

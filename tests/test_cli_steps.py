@@ -49,15 +49,17 @@ def tv(command: str) -> tuple[str, ...]:
 
 # Files written once per module.  wedge.tel: one wedge 0-1-2 among many
 # isolated nodes.  matching.tel: a perfect matching at t=0 only, so every node
-# has a state yet acts in two of the 2p rounds.  ring.tel: a 2-regular ring,
-# every degree equal, so at d=0 the degree band holds all 2*10^8 node pairs
-# against 80,000 wedges.  always.tel: nodes 0 and 1 share node 2 in every
-# round.  large.tel: 200,000 edge lines.  The next four hold one edge under a
-# header past the limits of graph.MAX_PERIOD and graph.MAX_NODES.  not-utf8.tel
-# has a byte that is not UTF-8 on line 3.
+# has a state yet acts in two of the 2p rounds.  long-matching.tel: the same
+# at p=100000 and n=800, so reading every node's p rounds costs 8*10^7 steps.
+# ring.tel: a 2-regular ring, every degree equal, so at d=0 the degree band
+# holds all 2*10^8 node pairs against 80,000 wedges.  always.tel: nodes 0 and
+# 1 share node 2 in every round.  large.tel: 200,000 edge lines.  The next
+# four hold one edge under a header past the limits of graph.MAX_PERIOD and
+# graph.MAX_NODES.  not-utf8.tel has a byte that is not UTF-8 on line 3.
 FILES = {
     "wedge.tel": "p=50 n=20000\n0 0 1\n0 1 2\n",
     "matching.tel": "p=50 n=20000\n" + "".join(f"0 {v} {v + 1}\n" for v in range(0, 20000, 2)),
+    "long-matching.tel": "p=100000 n=800\n" + "".join(f"0 {v} {v + 1}\n" for v in range(0, 800, 2)),
     "ring.tel": "p=1 n=20000\n" + "".join(f"0 {v} {(v + 1) % 20000}\n" for v in range(20000)),
     "always.tel": "p=4 n=4\n" + "".join(f"{t} {u} 2\n" for t in range(4) for u in (0, 1)),
     "large.tel": "p=20 n=20000\n"
@@ -134,6 +136,11 @@ STEPS = [
     Step("matching-run", tv("run --input matching.tel --delta 1 --d 0"), 5),
     Step("matching-run-sketch", tv("run --input matching.tel --delta 1 --d 0 --mode sketch"), 5),
     Step("matching-compare", tv("compare --input matching.tel --delta 1 --d 0"), 10),
+    # Each node's verdicts are read only at its rounds with an edge, in the
+    # protocol's windows and in the sketch audit alike.
+    Step("long-matching-compare", tv("compare --input long-matching.tel --delta 1 --d 0"), 5),
+    Step("long-matching-compare-sketch",
+         tv("compare --input long-matching.tel --delta 1 --d 0 --mode sketch"), 5),
     # The oracle's prefix filter meets a pair only through a shared
     # neighbour, so the ring must cost what its wedges cost.
     Step("ring-oracle", tv("oracle --input ring.tel --delta 1 --d 0"), 5),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tvtwins import oracle
 from tvtwins import (
     ProblemParams, RunConfig, SketchParams, TemporalGraph, TwinWindow, all_windows,
-    generate_random, run,
+    compare_with_oracle, generate_random, run,
 )
 from tvtwins.oracle import is_d_twin, pair_profile
 
@@ -187,36 +187,31 @@ def _pairs_with_common_neighbour(g: TemporalGraph, t: int) -> list[tuple[int, in
     ]
 
 
-def _reach_pairs(g: TemporalGraph, t: int) -> list[tuple[int, int]]:
-    """The pairs two_hop_reach lists at t: (u, v) for every v in u's ``later``."""
-    return [(u, v) for u, later in g.two_hop_reach(t) for v in later]
+def _sketch_decisions(g: TemporalGraph, k: int) -> int:
+    """The decisions a sketch ``compare`` at capacity k reports for g."""
+    sp = SketchParams(k=k, epsilon=0.5, nu=0.3, hash_seed=1)
+    return compare_with_oracle(g, RunConfig(ProblemParams(1, 0), "sketch", sp)).decisions
 
 
-@given(temporal_graphs())
-@settings(max_examples=80)
-def test_two_hop_reach_equals_naive_scan(g):
-    for t in range(g.p):
-        reach = list(g.two_hop_reach(t))
-        nodes = [u for u, _ in reach]
-        assert sorted(nodes) == sorted(g.active_nodes(t))  # every node with an edge, once
-        assert nodes == sorted(nodes)  # ascending
-        assert all(v > u for u, later in reach for v in later)
-        assert sorted(_reach_pairs(g, t)) == _pairs_with_common_neighbour(g, t)  # u < v, each once
+# k = 2 leaves most sketches full (lossy); no degree of a 9-node graph exceeds 16.
+@pytest.mark.parametrize("k", [2, 16])
+@given(g=temporal_graphs())
+@settings(max_examples=60)
+def test_sketch_decisions_equal_naive_scan(k, g):
+    # The run counts its decisions from its own phase-2 tables; the reference
+    # asks every node pair.
+    expected = sum(len(_pairs_with_common_neighbour(g, t)) for t in range(g.p))
+    assert _sketch_decisions(g, k) == expected
 
 
-def test_two_hop_reach_sparse_ids_and_wrap():
-    # IDs above n-1 and isolated nodes; round 1 is empty and t=2 wraps to 0.
+def test_sketch_decisions_sparse_ids_and_adjacent_pairs():
+    # IDs above n-1 and isolated nodes; round 1 is empty.  The pairs with a
+    # common neighbour are (2, 9) and (5, 14), both at t=0.
     edges = {0: {(9, 14), (2, 14), (2, 5)}}
     g = TemporalGraph(p=2, nodes={0, 1, 2, 5, 9, 14}, edges_at=edges, n=10)
-    assert list(g.two_hop_reach(0)) == [(2, {9}), (5, {14}), (9, set()), (14, set())]
-    assert sorted(_reach_pairs(g, 0)) == [(2, 9), (5, 14)]
-    assert list(g.two_hop_reach(1)) == []
-    assert list(g.two_hop_reach(2)) == list(g.two_hop_reach(0))
-    # Adjacent pairs are listed too when they share a neighbour.
-    adjacent = adjacent_twins_graph()
-    assert sorted(_reach_pairs(adjacent, 0)) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-    ]
+    assert _sketch_decisions(g, 2) == 2
+    # Adjacent pairs count too when they share a neighbour: all 6 pairs of 4 nodes.
+    assert _sketch_decisions(adjacent_twins_graph(), 2) == 6
 
 
 @given(

@@ -391,10 +391,10 @@ def test_sketch_full_regime_mismatches_stay_near_thresholds():
     [(30, 2, 0.5, 21, 3), (30, 4, 0.5, 2, 3), (40, 3, 0.3, 7, 1), (20, 2, 0.5, 11, 3)],
 )
 def test_sketch_audit_equals_a_replay_of_every_decision(n, p, prob, seed, d):
-    # The audit reads the run's verdicts and profiles only mismatched pairs;
-    # replaying every pair with a common neighbour, found by asking every node
-    # pair rather than by the two-hop listing the audit counts with, from
-    # freshly built sketches and a profile of each must give the same counts.
+    # The audit reads the run's verdicts and profiles only mismatched pairs,
+    # and takes its decision count from the run's phase-2 tables; replaying
+    # every pair with a common neighbour, found by asking every node pair,
+    # from freshly built sketches and a profile of each must give the same counts.
     g = generate_random(n, p, prob, seed=seed)
     sp = SketchParams(k=4, epsilon=0.9, nu=0.5, hash_seed=seed)
     report = compare_with_oracle(g, RunConfig(ProblemParams(1, d), "sketch", sp))
