@@ -7,14 +7,12 @@ built with the same seed support estimating the size of the union of the
 underlying sets, and from that, in every regime by the one inclusion-exclusion
 formula with the exact sizes, the size of the intersection.  When both are
 under-full every estimate is exact: the union is the count of distinct values
-the two hold.  When one is full, the k-th smallest value of the two together
-is read by a merge of their sorted values from the top down, which reads only
-the other sketch's values below a full one's largest.  The twin test skips
-that merge when k distinct values of the two lie below a bound safely under
-the threshold hash a twin needs: the k-th smallest then lies below it too, so
-the pair is no twin, whatever the merge would read.  It counts them with one
-bisection of one sketch and a walk up the other that stops at the bound or at
-the k-th value.
+the two hold.  When one is full, the estimate reads the k-th smallest of
+those values.  The twin test skips that estimate when k distinct values of the
+two lie below a bound safely under the threshold hash a twin needs: the k-th
+smallest then lies below it too, so the pair is no twin.  It counts them with
+one bisection of one sketch and a walk up the other that stops at the bound or
+at the k-th value.
 
 An under-full sketch also carries a 64-bit bitmap of its values' top six bits.
 The XOR of two bitmaps has no more bits set than the sketches have values
@@ -34,7 +32,6 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
 from operator import attrgetter, or_
 
 _HASH_SPACE = 2.0**64
@@ -144,14 +141,8 @@ def build_sketches(table, params: SketchParams) -> dict:
     if every and (min(every) < 0 or max(every) > _MASK):
         raise ValueError("node IDs must lie in [0, 2**64)")
     base = _mix64(params.hash_seed & _MASK)
-    hashes = {}  # _mix64(i ^ base) per ID, its steps inlined: no call per ID
-    bits = {}  # the ID's bitmap bit, 1 << (top six bits of its hash)
-    for i in every:
-        x = ((i ^ base) + _GOLDEN) & _MASK
-        x = (x ^ (x >> 30)) * _MIX_1 & _MASK
-        x = (x ^ (x >> 27)) * _MIX_2 & _MASK
-        hashes[i] = x = x ^ (x >> 31)
-        bits[i] = 1 << (x >> 58)
+    hashes = {i: _mix64(i ^ base) for i in every}
+    bits = {i: 1 << (x >> 58) for i, x in hashes.items()}  # top six bits
     k, hash_seed = params.k, params.hash_seed
     sketches = {}
     for key, ids in table.items():
@@ -196,29 +187,10 @@ def estimate_union(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
     normalized to (0, 1].
     """
     _check_compatible(a, b)
+    union = a.values | b.values
     if not a.full and not b.full:
-        return float(len(a.mins) + len(b.mins) - len(a.values & b.values))
-    # r_k is at most the largest value of a full sketch.  Take as a the full
-    # one with the lower largest value: fewer than k of b's values lie below.
-    if not a.full or (b.full and b.mins[-1] < a.mins[-1]):
-        a, b = b, a
-    mins, values = a.mins, a.values
-    below = bisect_left(b.mins, mins[-1])
-    extra = [x for x in islice(b.mins, below) if x not in values]
-    # The union's values up to mins[-1] are a's k and the m = len(extra)
-    # others, so r_k is their (m+1)-th largest: merge down from the top,
-    # dropping m.
-    # Once extra is used up, i is -1 and reads the appended -1, which lies
-    # below every hash value; j stays >= 0 since m < k.
-    i, j = len(extra) - 1, len(mins) - 1
-    extra.append(-1)
-    for _ in range(i + 1):
-        if extra[i] > mins[j]:
-            i -= 1
-        else:
-            j -= 1
-    rank_k = ((extra[i] if extra[i] > mins[j] else mins[j]) + 1) / _HASH_SPACE
-    return (a.k - 1) / rank_k
+        return float(len(union))
+    return (a.k - 1) / ((sorted(union)[a.k - 1] + 1) / _HASH_SPACE)
 
 
 def estimate_intersection(a: NeighbourhoodSketch, b: NeighbourhoodSketch) -> float:
@@ -263,7 +235,7 @@ def sketch_d_twin_test(
     intersection that passes, so r_k must reach a threshold hash.  If at
     least k distinct values of the two sketches lie below a bound set a
     relative 1e-9 and two units under that threshold, so that float rounding
-    cannot matter, r_k does too and the pair is rejected without the merge of
+    cannot matter, r_k does too and the pair is rejected without
     :func:`estimate_union`: one bisection of own's values, then a walk up the
     candidate's that adds those own lacks and stops at the bound or once k
     are counted.

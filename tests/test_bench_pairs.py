@@ -59,3 +59,19 @@ def test_summary_counts_the_pairs_the_change_won():
     assert summary["change"] == {"median": 3, "q1": 3, "q3": 4}
     assert (summary["change_wins"], summary["pairs"]) == (3, 5)
     assert summary["median_delta"] == pytest.approx(-0.25)
+
+
+def test_summary_holds_each_median_against_its_bound():
+    def side(value):
+        return {"metrics": {"run_sketch_s": value, "peak_rss_mb": value, "extra_s": value}, "ops": {}}
+
+    # Parent median 10, change median 11: +10%.
+    pairs = [{"parent": side(p), "change": side(c)} for p, c in ((9, 10), (10, 11), (11, 12))]
+    summary = bench_pairs.summarize(pairs, {"run_sketch_s": 0.24, "peak_rss_mb": 0.05})
+    assert (summary["run_sketch_s"]["bound"], summary["run_sketch_s"]["within_bound"]) == (0.24, True)
+    assert (summary["peak_rss_mb"]["bound"], summary["peak_rss_mb"]["within_bound"]) == (0.05, False)
+    assert (summary["extra_s"]["bound"], summary["extra_s"]["within_bound"]) == (None, None)
+    # By default the bounds are the repository's end-to-end ones.
+    bounds = bench_pairs.end_to_end_bounds()
+    assert bench_pairs.summarize(pairs)["run_sketch_s"]["bound"] == bounds["run_sketch_s"]
+    assert set(bounds) >= {"run_sketch_s", "compare_sketch_s", "peak_rss_mb"}

@@ -280,6 +280,10 @@ def test_constructor_rejects_bad_edges():
         TemporalGraph(p=1, nodes={0, 1}, edges_at={0: {(0, 2)}})
     with pytest.raises(ValueError, match="round index"):
         TemporalGraph(p=1, nodes={0, 1}, edges_at={1: {(0, 1)}})
+    with pytest.raises(ValueError, match=r"round index 0\.0 "):
+        TemporalGraph(p=2, nodes={0, 1}, edges_at={0.0: {(0, 1)}})
+    with pytest.raises(ValueError, match="round index '0' "):
+        TemporalGraph(p=2, nodes={0, 1}, edges_at={"0": {(0, 1)}})
     with pytest.raises(ValueError, match="not representable"):
         TemporalGraph(p=1, nodes={0, 9}, edges_at={}, n=2)
 

@@ -165,10 +165,12 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
         with_edge = {v for v in g.nodes if g.degree(v, t)}
         assert sketched == with_edge
         # The IDs to hash are the nodes with an edge (only such a node is
-        # anyone's neighbour).  build_sketches hashes each distinct one once,
-        # with _mix64's steps inlined, and calls _mix64 for the hash seed alone.
+        # anyone's neighbour).  build_sketches calls _mix64 once for the hash
+        # seed, then once for each distinct ID, as i ^ base.
         assert ids == with_edge
-        assert words == [sp.hash_seed]
+        base = mix(sp.hash_seed)
+        assert words[0] == sp.hash_seed
+        assert sorted(words[1:]) == sorted(i ^ base for i in with_edge)
     assert own == []
 
 

@@ -63,7 +63,7 @@ def test_build_deterministic():
 
 
 def test_build_sketches_hashes_each_id_as_mix64():
-    # build_sketches inlines _mix64's steps; the function is the reference,
+    # Each ID hashes to _mix64(i ^ base), base being the seed's own _mix64,
     # for IDs across [0, 2**64) and seeds taken modulo 2**64.
     ids = {0, 1, 7, 2**40, 2**63 + 3, 3**40, 2**64 - 2, 2**64 - 1}
     for seed in (0, 5, -1, 2**64 + 5):

@@ -16,8 +16,9 @@ version, both revisions (with the tree IDs of ``src`` and ``perfbench``), and
 for every run its scaled medians from run.py's last stdout line, and the call
 counts, unscaled wall medians, probe medians and document SHA-256s parsed
 from its standard error.  Per workload and metric it also gives both sides'
-median and quartiles, the pairs the change won and whether every pair's
-documents were equal.
+median and quartiles, the pairs the change won, the metric's regression
+bound from the repository's ``BENCHMARK.json`` and whether the change's median
+stays within it, and whether every pair's documents were equal.
 """
 
 import argparse
@@ -106,15 +107,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end_bounds(path: Path = REPO / "BENCHMARK.json") -> dict:
+    """Each end-to-end metric's regression bound, a share of the parent's median."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def summarize(pairs: list[dict], bounds: dict | None = None) -> dict:
     """Per metric: each side's median and quartiles, the change's wins (lower
-    is better for every metric run.py reports) and the relative change of
-    the medians.  Needs at least two pairs."""
+    is better for every metric run.py reports), the relative change of the
+    medians, and the metric's bound from ``bounds`` (by default the
+    repository's) with ``within_bound``: whether the change's median is at
+    most the parent's times 1 + bound; both are None for a metric without
+    a bound.  Needs at least two pairs."""
+    if bounds is None:
+        bounds = end_to_end_bounds()
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         a, b = quartiles(parent), quartiles(change)
+        bound = bounds.get(name)
         summary[name] = {
             "parent": a,
             "change": b,
@@ -122,6 +134,8 @@ def summarize(pairs: list[dict]) -> dict:
             "pairs": len(pairs),
             "median_delta": b["median"] / a["median"] - 1,
             "parent_iqr_share": (a["q3"] - a["q1"]) / a["median"],
+            "bound": bound,
+            "within_bound": None if bound is None else b["median"] <= a["median"] * (1 + bound),
         }
         if name in pairs[0]["parent"]["ops"]:
             for side in ("parent", "change"):
