@@ -30,8 +30,8 @@ class PlantInfeasibleError(ValueError):
 # The largest period and declared node count accepted.  A run's cost grows
 # with p and n even when the file holds one edge (the 2p rounds, the document's
 # node list), so the header is bounded: a two-line file at both limits runs
-# `run`, `oracle` and `compare` in either mode in under 3 s and 210 MB on a
-# 2-core VM.
+# `run`, `oracle` and `compare` in either mode in under 3 s and about 210 MB
+# on a 2-core VM.
 MAX_PERIOD = 100_000
 MAX_NODES = 1 << 17
 

@@ -161,10 +161,10 @@ STEPS = [
         "decision mismatch rate: 0.000000 (0 of 29400)",
         "boundary decisions: 0 of 0 mismatches",
     )),
-    # The threshold filter rejects every full-sketch pair of the run above
-    # before the merge; at k = 2 it passes nearly all of them to the
-    # estimator, which calls them twins.  The pins hold those verdicts, the
-    # windows read from them and the audit's three counts.
+    # The threshold filter rejects every full-sketch pair of the run above;
+    # at k = 2 it passes nearly all of them to the estimator, which calls
+    # them twins.  The pins hold those verdicts, the windows read from them
+    # and the audit's three counts.
     Step("gen50-compare-sketch-k2",
          tv(f"{DENSE50} --mode sketch --k 2 --epsilon 0.5 --nu 0.6 --delta 4 --d 2"), 60, out=(
              "decision mismatch rate: 0.519286 (15267 of 29400)",

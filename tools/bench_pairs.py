@@ -112,15 +112,12 @@ def end_to_end_bounds(path: Path = REPO / "BENCHMARK.json") -> dict:
     return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
 
 
-def summarize(pairs: list[dict], bounds: dict | None = None) -> dict:
+def summarize(pairs: list[dict], bounds: dict) -> dict:
     """Per metric: each side's median and quartiles, the change's wins (lower
     is better for every metric run.py reports), the relative change of the
-    medians, and the metric's bound from ``bounds`` (by default the
-    repository's) with ``within_bound``: whether the change's median is at
-    most the parent's times 1 + bound; both are None for a metric without
-    a bound.  Needs at least two pairs."""
-    if bounds is None:
-        bounds = end_to_end_bounds()
+    medians, and the metric's bound from ``bounds`` with ``within_bound``:
+    whether the change's median is at most the parent's times 1 + bound;
+    both are None for a metric without a bound.  Needs at least two pairs."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -175,6 +172,7 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
+    bounds = end_to_end_bounds()
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         revisions = {side: checkout(getattr(args, side), root) for side, root in roots.items()}
@@ -193,7 +191,7 @@ def main(argv=None) -> int:
                     f"{name} {before[name]:.5g} -> {after[name]:.5g}" for name in before
                 ), file=sys.stderr)
             workloads[workload] = {
-                "summary": summarize(pairs),
+                "summary": summarize(pairs, bounds),
                 "documents_equal": all(p["documents_equal"] for p in pairs),
                 "failed": sum(p[side]["failed"] for p in pairs for side in ("parent", "change")),
                 "pairs": pairs,
