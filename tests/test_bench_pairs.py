@@ -62,15 +62,33 @@ def test_summary_counts_the_pairs_the_change_won():
 
 
 def test_summary_holds_each_median_against_its_bound():
-    def side(value):
-        return {"metrics": {"run_sketch_s": value, "peak_rss_mb": value, "extra_s": value}, "ops": {}}
-
-    # Parent median 10, change median 11: +10%.
-    pairs = [{"parent": side(p), "change": side(c)} for p, c in ((9, 10), (10, 11), (11, 12))]
-    summary = bench_pairs.summarize(pairs, {"run_sketch_s": 0.24, "peak_rss_mb": 0.05})
-    assert (summary["run_sketch_s"]["bound"], summary["run_sketch_s"]["within_bound"]) == (0.24, True)
-    assert (summary["peak_rss_mb"]["bound"], summary["peak_rss_mb"]["within_bound"]) == (0.05, False)
-    assert (summary["extra_s"]["bound"], summary["extra_s"]["within_bound"]) == (None, None)
+    runs = {  # metric: (parent, change) per pair
+        # Parent median 10, change median 11: +10%, parent spread 10%.
+        "run_sketch_s": ((9, 10), (10, 11), (11, 12)),
+        # +10% again, but with a parent spread of 1%, inside the 5% bound.
+        "peak_rss_mb": ((9.9, 10.9), (10, 11), (10.1, 11.1)),
+        "extra_s": ((9, 10), (10, 11), (11, 12)),
+        # Parent spread 75%, wider than the bound: a +10% median is unresolved.
+        "noisy_s": ((5, 6), (10, 11), (20, 21)),
+        # The same spread, but every change run beat every parent run.
+        "beaten_s": ((10, 1), (20, 2), (40, 3)),
+    }
+    pairs = [
+        {side: {"metrics": {name: pair[i][j] for name, pair in runs.items()}, "ops": {}}
+         for j, side in enumerate(("parent", "change"))}
+        for i in range(3)
+    ]
+    bounds = {"run_sketch_s": 0.24, "peak_rss_mb": 0.05, "noisy_s": 0.24, "beaten_s": 0.24}
+    summary = bench_pairs.summarize(pairs, bounds)
+    verdicts = {name: (s["bound"], s["within_bound"]) for name, s in summary.items()}
+    assert verdicts == {
+        "run_sketch_s": (0.24, True),
+        "peak_rss_mb": (0.05, False),
+        "extra_s": (None, None),
+        "noisy_s": (0.24, None),
+        "beaten_s": (0.24, True),
+    }
+    assert summary["noisy_s"]["parent_iqr_share"] == pytest.approx(0.75)
     # The bounds a run uses are the repository's end-to-end ones.
     bounds = bench_pairs.end_to_end_bounds()
     assert set(bounds) >= {"run_sketch_s", "compare_sketch_s", "peak_rss_mb"}

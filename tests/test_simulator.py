@@ -161,16 +161,16 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     report = compare_with_oracle(g, RunConfig(ProblemParams(2, 1), "sketch", sp))
     assert report.decisions > 0
     assert len(rounds) == g.p
+    seed_word = mix(sp.hash_seed)
     for t, (sketched, ids, words) in enumerate(rounds):
         with_edge = {v for v in g.nodes if g.degree(v, t)}
         assert sketched == with_edge
         # The IDs to hash are the nodes with an edge (only such a node is
         # anyone's neighbour).  build_sketches calls _mix64 once for the hash
-        # seed, then once for each distinct ID, as i ^ base.
+        # seed, then once for each distinct ID, as i ^ _mix64(seed).
         assert ids == with_edge
-        base = mix(sp.hash_seed)
         assert words[0] == sp.hash_seed
-        assert sorted(words[1:]) == sorted(i ^ base for i in with_edge)
+        assert sorted(words[1:]) == sorted(i ^ seed_word for i in with_edge)
     assert own == []
 
 

@@ -18,7 +18,8 @@ counts, unscaled wall medians, probe medians and document SHA-256s parsed
 from its standard error.  Per workload and metric it also gives both sides'
 median and quartiles, the pairs the change won, the metric's regression
 bound from the repository's ``BENCHMARK.json`` and whether the change's median
-stays within it, and whether every pair's documents were equal.
+stays within it (unresolved when the parent's spread is wider than the
+bound), and whether every pair's documents were equal.
 """
 
 import argparse
@@ -107,16 +108,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def end_to_end_bounds(path: Path = REPO / "BENCHMARK.json") -> dict:
-    """Each end-to-end metric's regression bound, a share of the parent's median."""
-    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+def end_to_end_bounds() -> dict:
+    """Each end-to-end metric's regression bound in the repository's
+    ``BENCHMARK.json``, a share of the parent's median."""
+    config = json.loads((REPO / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in config["end_to_end"]}
 
 
 def summarize(pairs: list[dict], bounds: dict) -> dict:
     """Per metric: each side's median and quartiles, the change's wins (lower
     is better for every metric run.py reports), the relative change of the
     medians, and the metric's bound from ``bounds`` with ``within_bound``:
-    whether the change's median is at most the parent's times 1 + bound;
+    whether the change's median is at most the parent's times 1 + bound.
+    ``within_bound`` is None (unresolved) when the parent's quartile spread
+    is wider than the bound, unless every change run beat every parent run;
     both are None for a metric without a bound.  Needs at least two pairs."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
@@ -124,15 +129,17 @@ def summarize(pairs: list[dict], bounds: dict) -> dict:
         change = [p["change"]["metrics"][name] for p in pairs]
         a, b = quartiles(parent), quartiles(change)
         bound = bounds.get(name)
+        spread = (a["q3"] - a["q1"]) / a["median"]
+        unresolved = bound is None or (spread > bound and max(change) >= min(parent))
         summary[name] = {
             "parent": a,
             "change": b,
             "change_wins": sum(y < x for x, y in zip(parent, change)),
             "pairs": len(pairs),
             "median_delta": b["median"] / a["median"] - 1,
-            "parent_iqr_share": (a["q3"] - a["q1"]) / a["median"],
+            "parent_iqr_share": spread,
             "bound": bound,
-            "within_bound": None if bound is None else b["median"] <= a["median"] * (1 + bound),
+            "within_bound": None if unresolved else b["median"] <= a["median"] * (1 + bound),
         }
         if name in pairs[0]["parent"]["ops"]:
             for side in ("parent", "change"):
