@@ -215,7 +215,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, input_required: bool = True) ->
     sub.add_argument("--k", type=int, default=None, help="sketch capacity (default: calibrated)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--stats", action="store_true", help="include the stats block")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,13 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the distributed protocol")
-    _add_run_flags(p_run)
-    p_run.set_defaults(handler=cmd_run)
-
-    p_oracle = sub.add_parser("oracle", help="compute windows by brute force")
-    _add_run_flags(p_oracle)
-    p_oracle.set_defaults(handler=cmd_oracle)
+    for name, help_text, handler in (
+        ("run", "execute the distributed protocol", cmd_run),
+        ("oracle", "compute windows by brute force", cmd_oracle),
+    ):
+        p_doc = sub.add_parser(name, help=help_text)
+        _add_run_flags(p_doc)
+        p_doc.add_argument("--stats", action="store_true", help="include the stats block")
+        p_doc.set_defaults(handler=handler)
 
     p_cmp = sub.add_parser("compare", help="protocol versus brute force")
     _add_run_flags(p_cmp, input_required=False)

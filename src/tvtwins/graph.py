@@ -76,7 +76,8 @@ class TemporalGraph:
             raise ValueError("period must be positive")
         node_set = frozenset(nodes)
         for v in node_set:
-            if not isinstance(v, int) or v < 0:
+            # True and 1.0 equal an int ID, yet serialize as no .tel token.
+            if type(v) is not int or v < 0:
                 raise ValueError(f"node id {v!r} is not a non-negative integer")
         if n is None:
             n = max(node_set) + 1 if node_set else 1
@@ -103,6 +104,8 @@ class TemporalGraph:
                     raise ValueError(f"self-loop at node {u}")
                 if u not in node_set or v not in node_set:
                     raise ValueError(f"edge ({u}, {v}) has an endpoint outside the node set")
+                if type(u) is not int or type(v) is not int:
+                    raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
                 table[u].add(v)
                 table[v].add(u)
 

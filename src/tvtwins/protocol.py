@@ -21,6 +21,9 @@ from .graph import TwinWindow, twin_windows
 # phase-2 entry); it stays bound because perfbench's tracer wraps it here.
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test, wire_bits
 
+# Every slot of ``twins_at`` starts as this one empty set; evaluation replaces it.
+_UNEVALUATED: frozenset[int] = frozenset()
+
 
 class ProtocolError(RuntimeError):
     """Protocol driven outside its 2p-round contract."""
@@ -72,11 +75,12 @@ class NodeState:
         # number of forwarders naming it; in sketch mode each named id, mapped
         # to its granted sketch.  Both hold this node's own echoed entry.
         self.common_count: dict[tuple[int, int], int] | dict[int, NeighbourhoodSketch] = {}
-        # time index -> ids detected as d-twins at that time (one shared empty
-        # set until evaluated): the node's only record of its verdicts.  Slot t
-        # is written once, at round p+t, and is final from then on.
-        self.twins_at: list[set[int] | frozenset[int]] = [frozenset()] * p
-        self._evaluated_rounds = 0
+        # time index -> ids detected as d-twins at that time (_UNEVALUATED
+        # until evaluated): the node's only record of its verdicts.  Slot t is
+        # written once, at round p+t, and is final from then on.
+        self.twins_at: list[set[int] | frozenset[int]] = [_UNEVALUATED] * p
+        # Sketch mode only: candidates decided, each pair counted from both ends.
+        self.decided = 0
 
     def send_message(self, round_no: int, degree: int, granted=None) -> Message:
         """Message for this round: own (id, degree) in phase 1, the matching phase-1
@@ -94,6 +98,13 @@ class NodeState:
         if round_no < self.p:
             self.neighbour_reports.setdefault(round_no, []).extend(msg.entries)
             return
+        # This node's degree at t is the number of phase-1 reports it heard then.
+        try:
+            degree = len(self.neighbour_reports[round_no - self.p])
+        except KeyError:
+            raise ProtocolError(
+                f"round {round_no}: phase-2 delivery without a phase-1 report"
+            ) from None
         counts = self.common_count
         if msg.sketches:
             # The verdict reads sketches only, so no forwarder is counted.
@@ -101,14 +112,7 @@ class NodeState:
         else:
             # Size filter: the common count is at most the smaller outside
             # degree, so the difference is at least the degree gap, and an
-            # entry outside [deg - d, deg + d] cannot be a twin.  This node's
-            # degree at t is the number of phase-1 reports it heard then.
-            try:
-                degree = len(self.neighbour_reports[round_no - self.p])
-            except KeyError:
-                raise ProtocolError(
-                    f"round {round_no}: phase-2 delivery without a phase-1 report"
-                ) from None
+            # entry outside [deg - d, deg + d] cannot be a twin.
             low, high = degree - self.d, degree + self.d
             for entry in msg.entries:
                 if low <= entry[1] <= high:
@@ -145,19 +149,23 @@ class NodeState:
                     detected.add(twin_id)
         else:
             self.twins_at[t] = sketch_d_twin_test(own, counts, reporters, d) if counts else set()
-        self._evaluated_rounds += 1
+            self.decided += len(counts)
+
+    def verdicts(self):
+        """Every recorded twin verdict as (peer, t).  Only the slots of rounds
+        with an edge are read: no other holds a verdict."""
+        return ((peer, t) for t in self.neighbour_reports for peer in self.twins_at[t])
 
     def finalize(self) -> set[TwinWindow]:
-        """Canonical window set after all 2p rounds, read from ``twins_at`` by ``twin_windows``.
+        """Canonical window set after all 2p rounds, read from ``verdicts`` by ``twin_windows``.
 
         The verdicts for t are final at round p+t, so a window (peer, s) inside
         the period could be read at round p+s+delta-1; one that straddles the
-        period boundary needs the verdicts of both ends of the period.  Only
-        the slots of rounds with an edge are read: no other holds a verdict.
+        period boundary needs the verdicts of both ends of the period.
         """
-        if not self._evaluated_rounds or self._evaluated_rounds < len(self.neighbour_reports):
-            raise ProtocolError(
-                f"finalize needs every round with an edge evaluated, saw {self._evaluated_rounds}"
-            )
-        verdicts = ((peer, t) for t in self.neighbour_reports for peer in self.twins_at[t])
-        return twin_windows(verdicts, self.p, self.delta)
+        if not self.neighbour_reports:
+            raise ProtocolError("finalize needs a run: no phase-1 report was heard")
+        missing = [t for t in self.neighbour_reports if self.twins_at[t] is _UNEVALUATED]
+        if missing:
+            raise ProtocolError(f"finalize needs every round with an edge evaluated, not {missing}")
+        return twin_windows(self.verdicts(), self.p, self.delta)

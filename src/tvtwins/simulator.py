@@ -103,7 +103,6 @@ class Simulation:
         }
         self.round = 0
         self.stats = RoundStats(**graph_digest(graph))
-        self._reach_entries = 0
 
     def step(self) -> None:
         graph = self.graph
@@ -117,7 +116,7 @@ class Simulation:
         states = self.states
         active = self._active[t]
         granted = None
-        if phase2 and self.config.mode == "sketch":
+        if phase2 and active and self.config.mode == "sketch":
             # The engine grants each phase-2 entry the sketch of the named node's
             # neighbourhood at t, as it grants every node its current degree.  An
             # entry names a neighbour of its forwarder, so only the round's active
@@ -143,13 +142,6 @@ class Simulation:
                 states[w].receive(msg, round_no)
 
         if phase2:
-            if granted is not None:
-                # Sketch mode only: its tables keep every forwarded entry (exact
-                # ones only those in the degree band), so each holds the node's
-                # two-hop reach at t and its own echoed entry.  The audit counts
-                # its decisions from these, each pair named from both ends.
-                self._reach_entries += sum(len(states[v].common_count) for v in active)
-                self._reach_entries -= len(active)
             for v, (_, neighbours) in zip(active, outbox):
                 states[v].end_of_round(round_no, len(neighbours))
 
@@ -205,8 +197,8 @@ def compare_with_oracle(graph: TemporalGraph, config: RunConfig) -> CompareRepor
     from those verdicts by ``twin_windows``, as in the protocol and the oracle.
 
     In sketch mode, additionally audit every per-round decision (each pair
-    with at least one common neighbour, counted from the run's own phase-2
-    tables): count decisions the sketch flipped, and how many of those lie
+    with at least one common neighbour, counted by the run's nodes as they
+    decide): count decisions the sketch flipped, and how many of those lie
     within the estimator's error band around the thresholds (difference
     within 2*(epsilon*max_degree + 0.5) of d, or a common-neighbour count
     within epsilon*max_degree + 0.5 of the >= 1 test).
@@ -232,24 +224,19 @@ def _audit_sketch_decisions(
     """Compare every per-round decision the run recorded with the oracle's:
     return how many there are, how many differ and how many of those lie in the error band.
 
-    The sketch decision of a pair (u, v), u < v, at t is whether u recorded v
-    in ``twins_at[t]``; the exact one is whether the oracle's windows of
-    length 1 list (v, t) for u.  Both sides name only pairs with a common
+    The sketch decision of a pair (u, v), u < v, at t is whether u's
+    ``verdicts()`` hold (v, t); the exact one is whether the oracle's windows
+    of length 1 list (v, t) for u.  Both sides name only pairs with a common
     neighbour, so the mismatches are the symmetric difference of the two.
-    The pairs are only counted, by the run itself: each is named in the
-    phase-2 tables of both its nodes.  Only a mismatched pair is profiled, to
-    place it in the error band.
+    The pairs are only counted, by the run itself: each node adds up the
+    candidates it decides (``NodeState.decided``), so each pair counts once
+    from each end.  Only a mismatched pair is profiled, to place it in the
+    error band.
     """
     graph = sim.graph
     epsilon = sim.config.sketch_params.epsilon
     d = sim.config.params.d
-    sketched = {
-        (u, v, t)
-        for u, state in sim.states.items()
-        for t in state.neighbour_reports
-        for v in state.twins_at[t]
-        if v > u
-    }
+    sketched = {(u, v, t) for u, s in sim.states.items() for v, t in s.verdicts() if v > u}
     exact = {(u, v, t) for u, windows in verdicts.items() for v, t in windows if v > u}
     mismatched = sketched ^ exact
     boundary = 0
@@ -260,4 +247,5 @@ def _audit_sketch_decisions(
         near_common = profile.common_count <= scale + 0.5
         if near_difference or near_common:
             boundary += 1
-    return sim._reach_entries // 2, len(mismatched), boundary
+    decisions = sum(state.decided for state in sim.states.values()) // 2
+    return decisions, len(mismatched), boundary

@@ -115,6 +115,14 @@ def test_input_lines_end_at_lf_crlf_or_a_lone_cr(capsys, tmp_path):
     assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
 
 
+def test_compare_has_no_stats_flag(capsys, p3_file):
+    # compare writes a report, not a document, so it has no stats block.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", p3_file, "--delta", "1", "--d", "0", "--stats"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stats" in capsys.readouterr().err
+
+
 def test_sketch_flags_warn_in_exact_mode(capsys, p3_file):
     code, out, err = run_cli(
         capsys, "run", "--input", p3_file, "--delta", "1", "--d", "0", "--k", "8"

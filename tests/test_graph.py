@@ -286,6 +286,13 @@ def test_constructor_rejects_bad_edges():
         TemporalGraph(p=2, nodes={0, 1}, edges_at={"0": {(0, 1)}})
     with pytest.raises(ValueError, match="not representable"):
         TemporalGraph(p=1, nodes={0, 9}, edges_at={}, n=2)
+    # 1.0 and True equal node IDs, but no .tel token reads as either.
+    with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) .* not an int"):
+        TemporalGraph(p=1, nodes={0, 1}, edges_at={0: {(0, 1.0)}})
+    with pytest.raises(ValueError, match=r"edge \(True, 0\) .* not an int"):
+        TemporalGraph(p=1, nodes={0, 1}, edges_at={0: {(True, 0)}})
+    with pytest.raises(ValueError, match="node id True "):
+        TemporalGraph(p=1, nodes={0, True})
 
 
 def test_serialize_round_trip_wrap():

@@ -195,10 +195,6 @@ def test_exact_degree_band_boundary(reporters, peer_degree, forwarders, counted,
     assert state.common_count == {**own, **peer}
     state.end_of_round(1, len(reporters))
     assert (state.twins_at[0] == {1}) is twin
-    # The band is read from the phase-1 record: a phase-2 delivery without
-    # one breaks the protocol's contract.
-    with pytest.raises(ProtocolError, match="without a phase-1 report"):
-        NodeState(0, p=1, delta=1, d=2).receive(forwarded, 1)
 
 
 def test_sketch_candidates_equal_exact_candidates(monkeypatch):
@@ -288,6 +284,32 @@ def test_finalize_requires_all_rounds():
     state = NodeState(0, p=2, delta=1, d=0)
     with pytest.raises(ProtocolError):
         state.finalize()
+
+
+def test_finalize_names_each_round_with_an_edge_left_unevaluated():
+    # Edges at t = 0 and 1, evaluated at t = 0 and at t = 2, where the node
+    # has no edge: as many evaluations as rounds with an edge, yet t = 1 holds
+    # no verdict.
+    state = NodeState(0, p=3, delta=1, d=0)
+    for t in (0, 1):
+        state.receive(Message(((1, 1),)), t)
+    state.receive(Message(((0, 1),)), 3)
+    state.end_of_round(3, 1)
+    state.end_of_round(5, 0)
+    with pytest.raises(ProtocolError, match=r"not \[1\]$"):
+        state.finalize()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+def test_phase2_delivery_needs_a_phase1_report(mode):
+    # A node hears phase-2 messages only from its neighbours at t, so it must
+    # have heard their phase-1 reports, from which exact mode also reads its
+    # degree band; in both modes it fails fast otherwise.
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1) if mode == "sketch" else None
+    sketches = {1: build_sketch({2}, sp)} if sp else None
+    state = NodeState(0, p=1, delta=1, d=0, sketch_params=sp)
+    with pytest.raises(ProtocolError, match="without a phase-1 report"):
+        state.receive(Message(((1, 1),), sketches), 1)
 
 
 def test_finalize_one_round_short_of_the_engine_raises(wrap_graph):

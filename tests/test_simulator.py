@@ -174,6 +174,21 @@ def test_sketch_compare_builds_each_engine_sketch_once(monkeypatch):
     assert own == []
 
 
+def test_sketch_run_builds_no_table_for_an_edgeless_round(monkeypatch):
+    # Only round 1 of 4 has an edge, so only phase-2 round p + 1 has anyone
+    # to grant a sketch to.
+    tables = []
+    build = simulator.build_sketches
+    monkeypatch.setattr(
+        simulator, "build_sketches", lambda table, sp: tables.append(set(table)) or build(table, sp)
+    )
+    g = TemporalGraph(p=4, nodes=range(3), edges_at={1: {(0, 1), (1, 2)}})
+    sp = SketchParams(k=4, epsilon=0.2, nu=0.1, hash_seed=1)
+    report = compare_with_oracle(g, RunConfig(ProblemParams(1, 0), "sketch", sp))
+    assert report.equal and report.decisions == 1
+    assert tables == [{0, 1, 2}]
+
+
 @pytest.mark.parametrize("mode", ["exact", "sketch"])
 def test_nodes_without_an_edge_send_nothing(monkeypatch, mode):
     # Nodes 12 and 13 have no edge in any round: a message from them would
