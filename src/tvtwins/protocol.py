@@ -6,9 +6,10 @@ record those of current neighbours.  Rounds p..2p-1 (phase 2): forward the
 entries collected one period earlier.  From them each node fills one table per
 round, counting forwarders per (id, degree) entry within d of its own degree
 (in sketch mode keeping each named node's granted sketch), and at the round's
-end takes out its own echoed entry and records the twins among the rest.  A
-sketch-mode node reads no field of a sketch: it hands its own and its
-candidates' to ``sketch_d_twin_test``, which decides them all at once.
+end takes out its own echoed entry and records the twins among the rest, one
+record per evaluated round.  A sketch-mode node reads no field of a sketch: it
+hands its own and its candidates' to ``sketch_d_twin_test``, which decides them
+all at once.
 The verdicts for t are final at round p+t, so a window inside the period is
 known once its last round is evaluated; ``finalize`` reads every window,
 including those that straddle the period boundary, from the verdicts.
@@ -20,9 +21,6 @@ from .graph import TwinWindow, twin_windows
 # build_sketch is not called here (a node reads its own sketch from its echoed
 # phase-2 entry); it stays bound because perfbench's tracer wraps it here.
 from .sketch import NeighbourhoodSketch, SketchParams, build_sketch, sketch_d_twin_test, wire_bits
-
-# Every slot of ``twins_at`` starts as this one empty set; evaluation replaces it.
-_UNEVALUATED: frozenset[int] = frozenset()
 
 
 class ProtocolError(RuntimeError):
@@ -52,7 +50,8 @@ class NodeState:
 
     The node never learns the graph: it sees only what the environment injects
     each round (its degree and, in sketch mode, the granted sketch table) and
-    the messages of its current neighbours.
+    the messages of its current neighbours.  It keeps a record only for the
+    rounds it acts in, so its memory follows its edges, not the period.
     """
 
     def __init__(
@@ -75,10 +74,10 @@ class NodeState:
         # number of forwarders naming it; in sketch mode each named id, mapped
         # to its granted sketch.  Both hold this node's own echoed entry.
         self.common_count: dict[tuple[int, int], int] | dict[int, NeighbourhoodSketch] = {}
-        # time index -> ids detected as d-twins at that time (_UNEVALUATED
-        # until evaluated): the node's only record of its verdicts.  Slot t is
-        # written once, at round p+t, and is final from then on.
-        self.twins_at: list[set[int] | frozenset[int]] = [_UNEVALUATED] * p
+        # Evaluated time index -> ids detected as d-twins at that time: the
+        # node's only record of its verdicts, one key per evaluated round.
+        # Key t is written once, at round p+t, and is final from then on.
+        self.evaluated: dict[int, set[int]] = {}
         # Sketch mode only: candidates decided, each pair counted from both ends.
         self.decided = 0
 
@@ -120,7 +119,7 @@ class NodeState:
 
     def end_of_round(self, round_no: int, degree: int) -> None:
         """Evaluate all candidates named this round and record the twins in
-        ``twins_at``.
+        ``evaluated``, under the round's time index.
 
         Runs at the round barrier of each round in which the node has an edge;
         a candidate named by nobody has no common neighbour and is no twin, nor,
@@ -142,19 +141,24 @@ class NodeState:
         reporters = {sender for sender, _ in self.neighbour_reports.get(t, ())}
         d = self.d
         if exact:
-            detected = self.twins_at[t] = set()
+            detected = self.evaluated[t] = set()
             for (twin_id, twin_degree), common in counts.items():
                 adj = 1 if twin_id in reporters else 0
                 if degree + twin_degree - 2 * adj - 2 * common <= d:
                     detected.add(twin_id)
         else:
-            self.twins_at[t] = sketch_d_twin_test(own, counts, reporters, d) if counts else set()
+            self.evaluated[t] = sketch_d_twin_test(own, counts, reporters, d) if counts else set()
             self.decided += len(counts)
 
+    @property
+    def twins_at(self) -> list[set[int] | frozenset[int]]:
+        """The verdicts indexed by time, for readers outside the package: a
+        p-slot list built on each read, empty where no round was evaluated."""
+        return [self.evaluated.get(t, frozenset()) for t in range(self.p)]
+
     def verdicts(self):
-        """Every recorded twin verdict as (peer, t).  Only the slots of rounds
-        with an edge are read: no other holds a verdict."""
-        return ((peer, t) for t in self.neighbour_reports for peer in self.twins_at[t])
+        """Every recorded twin verdict as (peer, t), read from ``evaluated``."""
+        return ((peer, t) for t, twins in self.evaluated.items() for peer in twins)
 
     def finalize(self) -> set[TwinWindow]:
         """Canonical window set after all 2p rounds, read from ``verdicts`` by ``twin_windows``.
@@ -165,7 +169,7 @@ class NodeState:
         """
         if not self.neighbour_reports:
             raise ProtocolError("finalize needs a run: no phase-1 report was heard")
-        missing = [t for t in self.neighbour_reports if self.twins_at[t] is _UNEVALUATED]
+        missing = [t for t in self.neighbour_reports if t not in self.evaluated]
         if missing:
             raise ProtocolError(f"finalize needs every round with an edge evaluated, not {missing}")
         return twin_windows(self.verdicts(), self.p, self.delta)

@@ -191,13 +191,13 @@ def prop1_check(graph: TemporalGraph, u: int, v: int, t: int, d: int) -> bool:
 
 
 def run_with_snapshots(sim: Simulation) -> tuple[RunResult, list[tuple], int]:
-    """Run ``sim`` to the end, copying every node's ``twins_at[t]`` right after
-    round p+t, and check that the verdicts form a write-once record.
+    """Run ``sim`` to the end, copying every node's verdicts at t right after
+    round p+t, and check that ``evaluated`` is a write-once record.
 
     Returns the run's result, its violations and the number of windows inside
     the period that were checked.  A violation is ``("ahead", v, t)`` when a
-    slot after t already holds a verdict at round p+t, ``("rewritten", v, t)``
-    when slot t at the end differs from its copy, and ``("late", v, window)``
+    key after t already exists at round p+t, ``("rewritten", v, t)`` when the
+    verdicts at t at the end differ from their copy, and ``("late", v, window)``
     when a window (peer, s) inside the period lacks one of its delta verdicts
     in the copies, so that it was not known at round p+s+delta-1."""
     p, delta = sim.graph.p, sim.config.params.delta
@@ -209,14 +209,16 @@ def run_with_snapshots(sim: Simulation) -> tuple[RunResult, list[tuple], int]:
         if t < 0:
             continue
         for v, state in sim.states.items():
-            snapshots[v].append(set(state.twins_at[t]))
-            if any(state.twins_at[t + 1 :]):
+            snapshots[v].append(set(state.evaluated.get(t, ())))
+            if max(state.evaluated, default=t) > t:
                 violations.append(("ahead", v, t))
     result = sim.run()
     checked = 0
     for v, state in sim.states.items():
         copies = snapshots[v]
-        violations += [("rewritten", v, t) for t in range(p) if state.twins_at[t] != copies[t]]
+        violations += [
+            ("rewritten", v, t) for t in range(p) if state.evaluated.get(t, set()) != copies[t]
+        ]
         for window in result.windows[v]:
             if window.start + delta > p:
                 continue  # straddles the period boundary: read only by finalize
