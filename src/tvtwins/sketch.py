@@ -218,9 +218,10 @@ def sketch_d_twin_test(
     reject a pair before that estimate, in this order, and none changes a
     decision; capacities and hash seeds are checked on each pair past the first two.
 
-    Size filter: the intersection never exceeds min(|A|, |B|), so the
-    difference is at least abs(|A| - |B|) - 2*adj, and a pair whose sizes
-    alone put it above d is no twin, as in exact set-similarity joins.
+    Size filter: the outside sets differ in size by abs(|A| - |B|), adjacent
+    or not, and their difference is at least that gap, so a pair whose gap
+    exceeds d is no twin: the degree band of exact phase 2, as in exact
+    set-similarity joins.
 
     Bitmap filter: when both sketches are under-full, with value sets Va and
     Vb, the common count is |Va ∩ Vb| and the difference |Va Δ Vb| - 2*adj.
@@ -243,9 +244,9 @@ def sketch_d_twin_test(
     twins = set()
     size_a, bits_a, full_a = own.exact_size, own.bitmap, own.full
     for twin_id, b in candidates.items():
-        adj = 1 if twin_id in adjacent else 0
-        if abs(size_a - b.exact_size) - 2 * adj > d:
+        if abs(size_a - b.exact_size) > d:
             continue
+        adj = 1 if twin_id in adjacent else 0
         if bits_a is not None and (bits_b := b.bitmap) is not None:
             if (bits_a ^ bits_b).bit_count() - 2 * adj > d:
                 continue

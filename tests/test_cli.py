@@ -253,14 +253,15 @@ def test_compare_sketch_lossless(capsys):
 
 
 def test_compare_sketch_beyond_tolerance_exits_3(capsys, tmp_path):
-    # Capacity 4 on a dense 30-node instance flips most decisions.
+    # Capacity 4 on a dense 30-node instance flips about half its decisions,
+    # 434 of 869, above --nu 0.4.
     path = tmp_path / "dense.tel"
     code = main(["gen", "--n", "30", "--p", "2", "--prob", "0.5", "--seed", "21", "--out", str(path)])
     assert code == 0
     code, out, _ = run_cli(
         capsys,
         "compare", "--input", str(path), "--delta", "1", "--d", "3",
-        "--mode", "sketch", "--k", "4", "--epsilon", "0.9", "--nu", "0.5", "--seed", "13",
+        "--mode", "sketch", "--k", "4", "--epsilon", "0.9", "--nu", "0.4", "--seed", "13",
     )
     assert code == 3
     assert "decision mismatch rate" in out
@@ -405,9 +406,9 @@ GOLDEN = [
     ("sparse", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,
      "604fd9c84dc9711cc2b65da66e0752cea5fb5bb470b5ba8e3eb50da1ff6f2dc9"),
     ("dense", ("run", "--stats", "--mode", "sketch", "--k", "4"), 0,
-     "33e55611d482d7221f97b55fa36d62cd948178b3a74a14146912b2eadd2ecaf5"),
+     "63cf2ee5b03ac3fb4a5d335aaa855f5d8d6225319ae58c625ad67a3a97c7abe5"),
     ("dense", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,
-     "78d0d14ff08ab131be88f3b4bd883feaf52de86493df2112c32f6bb33fbe78a5"),
+     "90fde1ddcfcbadd0b26adfe9b734281e4f8337e4cba928f402daeab6712803e6"),
 ]
 
 

@@ -161,15 +161,15 @@ STEPS = [
         "decision mismatch rate: 0.000000 (0 of 29400)",
         "boundary decisions: 0 of 0 mismatches",
     )),
-    # The threshold filter rejects every full-sketch pair of the run above;
-    # at k = 2 it passes nearly all of them to the estimator, which calls
-    # them twins.  The pins hold those verdicts, the windows read from them
-    # and the audit's three counts.
+    # The threshold filter rejects every full-sketch pair of the run above
+    # that the size filter passes; at k = 2 it passes nearly all of them to
+    # the estimator, which calls many of them twins.  The pins hold those
+    # verdicts, the windows read from them and the audit's three counts.
     Step("gen50-compare-sketch-k2",
          tv(f"{DENSE50} --mode sketch --k 2 --epsilon 0.5 --nu 0.6 --delta 4 --d 2"), 60, out=(
-             "decision mismatch rate: 0.519286 (15267 of 29400)",
-             "4150 window differences / 2 trials",
-             "boundary decisions: 15267 of 15267 mismatches",
+             "decision mismatch rate: 0.387789 (11401 of 29400)",
+             "1278 window differences / 2 trials",
+             "boundary decisions: 11401 of 11401 mismatches",
          )),
     # The planted pair's near pairs pass the threshold filter to the
     # estimator, which misjudges one decision near the threshold, moving two

@@ -135,21 +135,24 @@ def test_exact_end_of_round_requires_echoed_own_entry(forwarded):
         ({2}, {2, 3, 4}, [(0, 1)], True),
         # Not adjacent, size gap d + 1: the size filter rejects, with no estimate.
         ({2}, {2, 3, 4, 5}, [], False),
-        # Adjacent (1 reports to 0), size gap d + 2: adjacency may lower the
-        # difference by 2, so the size filter passes; but 0 and 1 also lie in
-        # the symmetric difference, 6 values with 6 bits set, and 6 - 2 > d:
-        # the bitmap filter rejects, with no estimate.
+        # Adjacent (1 reports to 0), size gap d + 2: the outside sets keep the
+        # gap, so the size filter rejects, with no estimate.
         ({1, 2}, {0, 2, 3, 4, 5, 6}, [], False),
         # Adjacent, symmetric difference {0, 1, 4, 5} with 4 bits set: 4 - 2
         # is d, so both filters pass, estimated, and a twin.
         ({1, 2, 3, 4}, {0, 2, 3, 5}, [(0, 1)], True),
+        # Adjacent, size gap d + 1: the size filter rejects, with no estimate,
+        # though the symmetric difference's 5 values set only 4 bits (3 and
+        # 14 share one) and 4 - 2 is d, so the bitmap filter alone would
+        # pass it.
+        ({1, 2}, {0, 2, 3, 4, 14}, [], False),
     ],
 )
 def test_sketch_size_filter_boundary(own_ids, peer_ids, tested, twin):
     # Node 0 hears candidate 1 from forwarder 2 at d = 2; ``tested`` lists
     # the (node, candidate) pairs whose sketches reach the estimator, which
-    # the pair does unless the size gap, or the popcount of the two lossless
-    # sketches' bitmap XOR, less 2*adj exceeds d.
+    # the pair does unless the size gap exceeds d, or the popcount of the two
+    # lossless sketches' bitmap XOR less 2*adj does.
     sp = SketchParams(k=8, epsilon=0.2, nu=0.1)
     state = NodeState(0, p=1, delta=1, d=2, sketch_params=sp)
     for sender in sorted(own_ids):
