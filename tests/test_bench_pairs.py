@@ -1,9 +1,13 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_REPO = Path(__file__).resolve().parents[1]
+_PATH = _REPO / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -93,3 +97,23 @@ def test_summary_holds_each_median_against_its_bound():
     bounds = bench_pairs.end_to_end_bounds()
     assert set(bounds) >= {"run_sketch_s", "compare_sketch_s", "peak_rss_mb"}
     assert all(0 < bound < 1 for bound in bounds.values())
+
+
+_BENCHMARK = json.loads((_REPO / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", [w["name"] for w in _BENCHMARK["workloads"]])
+def test_benchmark_runs_every_workload_as_declared(workload, trace):
+    # The declared command, one minimal run: every output passes perfbench's
+    # own checks, traced too (the tracer wraps every hook it reads), and an
+    # untraced run's standard error is what bench_pairs parses.
+    command = [sys.executable, *_BENCHMARK["command"][1:]]
+    args = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)]
+    child = subprocess.run(command + args, cwd=_REPO, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), child.stderr
+    assert result["attempted"] > 0
+    if not trace:
+        assert bench_pairs.parse_stderr(child.stderr)["passes"] >= 2
