@@ -6,6 +6,7 @@ negative) time wraps around, so round ``t`` and round ``t + p`` are
 indistinguishable.
 """
 
+import math
 import random
 import re
 from collections import defaultdict
@@ -356,6 +357,15 @@ class TwinPlant:
             raise ValueError("plant difference must be non-negative")
 
 
+# Below this edge probability `generate_random` draws one number per edge by
+# geometric skipping; at or above it, one per pair, which is then faster.  The
+# draw loop alone at n = 100 and p = 8, median of 25 interleaved in-process
+# runs on a 2-core VM (Python 3.11.7), per pair against skipping: 3.12
+# against 2.73 ms at q = 0.141, 3.39 against 3.38 at 0.18, 4.02 against 4.99
+# at 0.2, 5.48 against 7.50 at 0.35 and 6.40 against 10.53 at 0.531.
+SKIP_BELOW = 0.18
+
+
 def generate_random(
     n: int,
     p: int,
@@ -367,6 +377,10 @@ def generate_random(
 
     Every potential edge appears in every round independently with probability
     ``edge_prob``.  The same seed and parameters always yield the same graph.
+    Below ``SKIP_BELOW`` each round draws one number per edge, the geometric
+    gap to the next pair with an edge (Batagelj & Brandes, Phys. Rev. E 71,
+    036113, 2005), so its cost follows its edges; at or above it, one number
+    per pair, in (t, u, v) order.
     Plant edits are minimal and prefer adding a shared neighbour over removing
     a distinguishing edge, keeping the instance close to the random ensemble.
     """
@@ -382,7 +396,23 @@ def generate_random(
 
     rng = random.Random(seed)
     edges_at: dict[int, set[tuple[int, int]]] = {t: set() for t in range(p)}
-    if edge_prob > 0.0:  # at 0 no draw adds an edge, and nothing else reads rng
+    if 0.0 < edge_prob < SKIP_BELOW:
+        # The gap to the next edge is geometric; the float gap is compared
+        # with the pairs left before int(), as it overflows to inf at tiny q.
+        pairs, log_q = n * (n - 1) // 2, math.log1p(-edge_prob)
+        log, draw = math.log, rng.random
+        for t in range(p):
+            edges = edges_at[t]
+            left, u, v = pairs, 0, 0  # (u, v) is the last pair passed over
+            while (gap := log(1.0 - draw()) / log_q) < left:
+                step = int(gap) + 1
+                left -= step
+                v += step
+                while v >= n:  # carry into the next rows of the upper triangle
+                    u += 1
+                    v -= n - u - 1
+                edges.add((u, v))
+    elif edge_prob > 0.0:  # at 0 no draw adds an edge, and nothing else reads rng
         for t in range(p):
             for u in range(n):
                 for v in range(u + 1, n):

@@ -115,8 +115,12 @@ class Simulation:
 
         states = self.states
         active = self._active[t]
+        if not active:  # no node sends, hears or decides anything
+            self.stats.per_round.append(RoundRecord(round_no, t, 2 if phase2 else 1, 0, 0, 0, 0))
+            self.round += 1
+            return
         granted = None
-        if phase2 and active and self.config.mode == "sketch":
+        if phase2 and self.config.mode == "sketch":
             # The engine grants each phase-2 entry the sketch of the named node's
             # neighbourhood at t, as it grants every node its current degree.  An
             # entry names a neighbour of its forwarder, so only the round's active

@@ -357,8 +357,8 @@ def test_gen_infeasible_plant(capsys):
 # edges, giving u an untouched node, taking a common neighbour from v, and
 # joining a fresh node to both sides of a pair with no edge.
 PLANT_GOLDEN = [
-    ("30,4,0.08,4", "0,1,3,2,2", "e0815144f9c28b009e69fd6ba6ae6a5c569b68766256927684bbd7cc32323d62"),
-    ("30,4,0.08,4", "0,1,3,2,6", "82ec0cbfaba17f4bf67ba4c52cca997464bf739ff3bc4bf299ea5c38feb05c73"),
+    ("30,4,0.08,4", "0,1,3,2,2", "59cd3771f6a715f8f468440f9437fa65eb41c027a8fc07a133e7363d95d9a1b6"),
+    ("30,4,0.08,4", "0,1,3,2,6", "698d05673862d6d4a9a8e844516372372cdd3c7151c587aaf6eb533f061759ef"),
     ("8,2,1.0,1", "0,1,1,2,3", "f0f1ff42dcf4420afabf4aad350669c03e9b10c1cfd58c52fb14d52c0461aa1a"),
     ("12,3,0.0,2", "2,5,0,3,0", "38539b5b0798814a1863e275b25dd4bd273e88185041bbe4f4d648aceca4176c"),
 ]
@@ -377,7 +377,7 @@ def test_planted_graphs_match_golden_hashes(capsys, graph, plant, digest):
 
 
 # Stdout SHA-256 of each document on a generated instance.  "sparse" has 30
-# nodes, p=4, maximum degree 7 and 26 windows at d=3; at k=4 its sketch compare
+# nodes, p=4, maximum degree 7 and 20 windows at d=3; at k=4 its sketch compare
 # has full sketches, mismatches and exit code 3.  "dense" has maximum degree 17
 # and a planted 0-twin pair, adjacent at t=0, at the tightest band d=0, where
 # most forwarded entries lie outside the exact route's degree band.  At k = 4
@@ -392,19 +392,19 @@ GOLDEN_INSTANCES = {
 }
 GOLDEN = [
     ("sparse", ("run", "--stats"), 0,
-     "750e3d73d03d5814ff149a6beaa35168e4fbae8b8f55403b84df7fc30a073a9b"),
+     "157e2dbfcbed84816568416bfebfa7ab6d2574888c1affc97dae43555b5f395a"),
     ("sparse", ("run", "--stats", "--mode", "sketch"), 0,
-     "e5179212a30ecb9d3c86c667651a7fdefcf7b1bcfb19afc1d51ba3837d8d3555"),
+     "4a88272be297c32cd152437a1e05ec6e0aeb5ae77f230fae29454643d6af1ff8"),
     ("sparse", ("oracle", "--stats"), 0,
-     "dcf725f55fd9465b9202dc2cef79d48b2a619e078f09a5504b8b6467e0c98418"),
+     "3f503441434720b63ae57ff89ae6b7c0708bdbd4f4a7db1903cf658004c7dbe4"),
     ("sparse", ("compare", "--mode", "sketch", "--k", "4"), 3,
-     "f47b7e1517c8e40c9f86fa8bfc2e894631804e680d72aa9631e30ac165cc1e54"),
+     "02ea6df63a413cd1a3eb8e7771480338c0e752281a43d1931858bba3762e69fe"),
     ("dense", ("run", "--stats"), 0,
      "9ee804843bd5a67a9ec5ff9b8b183cf9e1fd2e288f58919c7fab26da2a945d9a"),
     ("sparse", ("run", "--stats", "--mode", "sketch", "--k", "4"), 0,
-     "a94bed70df1eca7551db0953732b350875929d9765fa251dd1eeb3cd076b4dc1"),
+     "7ce5d81aa5a504cb262b3cff7892a6cda9947517fefea6868c513640177913dd"),
     ("sparse", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,
-     "604fd9c84dc9711cc2b65da66e0752cea5fb5bb470b5ba8e3eb50da1ff6f2dc9"),
+     "f3c139816a94998d20bbe98e5463510f6360426c5e91fbb7523c7895a1a7a859"),
     ("dense", ("run", "--stats", "--mode", "sketch", "--k", "4"), 0,
      "63cf2ee5b03ac3fb4a5d335aaa855f5d8d6225319ae58c625ad67a3a97c7abe5"),
     ("dense", ("run", "--stats", "--mode", "sketch", "--k", "2"), 0,

@@ -218,6 +218,10 @@ STEPS = [
     # limit costs what its edges cost, not one draw per node pair.
     Step("gen-prob0-node-limit", tv("gen --n 131072 --p 1 --prob 0"), 5,
          out=("p=1 n=131072\n",)),
+    # Below graph.SKIP_BELOW it draws one number per edge: 600,000 edges,
+    # where one draw per pair would take 2*10^9.
+    Step("gen-sparse-large", tv("gen --n 20000 --p 10 --prob 0.0003"), 15,
+         out=("p=10 n=20000\n",)),
 ]
 
 

@@ -1,4 +1,7 @@
+import math
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from tvtwins import (
 from tvtwins.graph import (
     MAX_NODES,
     MAX_PERIOD,
+    SKIP_BELOW,
     PlantInfeasibleError,
     TwinPlant,
     TwinWindow,
@@ -304,6 +308,33 @@ def test_serialize_round_trip_wrap():
 def test_generate_full_density_two_nodes():
     g = generate_random(2, 1, 1.0, seed=123)
     assert g.edges(0) == frozenset({(0, 1)})
+
+
+# Below SKIP_BELOW the generator skips to the next edge, at or above it draws
+# once per pair; q = 1 must give the complete graph in every round.
+@pytest.mark.parametrize(
+    "q", [0.05, 0.15, math.nextafter(SKIP_BELOW, 0.0), SKIP_BELOW, 0.6, 1.0]
+)
+def test_generate_draws_each_pair_round_with_its_probability(q):
+    n, p, seeds = 6, 2, 3000
+    counts = Counter()
+    for seed in range(seeds):
+        g = generate_random(n, p, q, seed=seed)
+        counts.update((t, u, v) for t in range(p) for u, v in g.edges(t))
+    assert all(0 <= u < v < n for _, u, v in counts)
+    bound = 5 * math.sqrt(seeds * q * (1 - q))  # five binomial standard deviations
+    for t in range(p):
+        for u, v in combinations(range(n), 2):
+            assert abs(counts[t, u, v] - seeds * q) <= bound
+
+
+# 1 - 1e-17 == 1.0, so a gap over log(1 - q) would divide by zero; at 5e-324
+# the gap overflows to inf and must end the round before any int().
+@pytest.mark.parametrize("q", [1e-17, 1e-300, 5e-324])
+def test_generate_at_a_vanishing_probability(q):
+    for seed in range(20):
+        g = generate_random(50, 3, q, seed=seed)
+        assert (g.p, g.n, g.nodes, g.max_degree()) == (3, 50, frozenset(range(50)), 0)
 
 
 def test_generate_deterministic():

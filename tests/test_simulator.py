@@ -49,6 +49,9 @@ def test_edgeless_graph_sends_nothing():
     assert result.stats.messages == 0
     assert result.stats.deliveries == 0
     assert result.stats.max_phase2_bits == 0 == result.stats.phase2_bound_bits
+    assert result.stats.per_round == [
+        simulator.RoundRecord(r, r % 3, 1 + (r >= 3), 0, 0, 0, 0) for r in range(6)
+    ]
 
 
 def test_phase2_message_sizes(wrap_graph):
