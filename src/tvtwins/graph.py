@@ -357,12 +357,11 @@ class TwinPlant:
             raise ValueError("plant difference must be non-negative")
 
 
-# Below this edge probability `generate_random` draws one number per edge by
-# geometric skipping; at or above it, one per pair, which is then faster.  The
-# draw loop alone at n = 100 and p = 8, median of 25 interleaved in-process
-# runs on a 2-core VM (Python 3.11.7), per pair against skipping: 3.12
-# against 2.73 ms at q = 0.141, 3.39 against 3.38 at 0.18, 4.02 against 4.99
-# at 0.2, 5.48 against 7.50 at 0.35 and 6.40 against 10.53 at 0.531.
+# Below this edge probability a round draws one number per edge, by geometric
+# skipping; at or above it, one per pair, which is then faster.  Draw loop
+# alone, n = 100, p = 8, median of 25 on a 2-core VM, per pair against skipping:
+# 3.12 / 2.73 ms at q = 0.141, 3.39 / 3.38 at 0.18, 4.02 / 4.99 at 0.2 and
+# 6.40 / 10.53 at 0.531.
 SKIP_BELOW = 0.18
 
 
@@ -397,8 +396,7 @@ def generate_random(
     rng = random.Random(seed)
     edges_at: dict[int, set[tuple[int, int]]] = {t: set() for t in range(p)}
     if 0.0 < edge_prob < SKIP_BELOW:
-        # The gap to the next edge is geometric; the float gap is compared
-        # with the pairs left before int(), as it overflows to inf at tiny q.
+        # The float gap meets the pairs left before int(): at tiny q it is inf.
         pairs, log_q = n * (n - 1) // 2, math.log1p(-edge_prob)
         log, draw = math.log, rng.random
         for t in range(p):

@@ -243,7 +243,11 @@ def test_lossless_regime_is_exact(a_ids, b_ids, seed, adj, d):
     common = len(a_ids & b_ids)
     assert estimate_union(a, b) == float(len(a_ids | b_ids))
     assert estimate_intersection(a, b) == float(common)
-    exact = common >= 1 and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * common <= d
+    exact = (
+        abs(len(a_ids) - len(b_ids)) <= d
+        and common >= 1
+        and (len(a_ids) - adj) + (len(b_ids) - adj) - 2 * common <= d
+    )
     assert sketch_twin(a, b, adj, d) == exact
 
 
