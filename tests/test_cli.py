@@ -380,10 +380,11 @@ def test_planted_graphs_match_golden_hashes(capsys, graph, plant, digest):
 # nodes, p=4, maximum degree 7 and 20 windows at d=3; at k=4 its sketch compare
 # has full sketches, mismatches and exit code 3.  "dense" has maximum degree 17
 # and a planted 0-twin pair, adjacent at t=0, at the tightest band d=0, where
-# most forwarded entries lie outside the exact route's degree band.  At k = 4
-# and k = 2 most sketches of both are full, so their sketch runs pin the
-# full-sketch twin test.  A change meant only for speed must leave every hash
-# as it is.
+# most forwarded entries lie outside the exact route's degree band.  At k = 2
+# most sketches of both are full, and at k = 4 most of "dense"'s (117 of 120
+# node-rounds with an edge; "sparse" has 23 of 113), so their sketch runs pin
+# the full-sketch twin test.  A change meant only for speed must leave every
+# hash as it is.
 GOLDEN_INSTANCES = {
     "sparse": (("--n", "30", "--p", "4", "--prob", "0.08", "--seed", "4"), "3"),
     "dense": (
